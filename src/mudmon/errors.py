@@ -6,19 +6,11 @@ class MudmonError(Exception):
 
 
 class ParseError(MudmonError):
-    """Input could not be parsed (malformed JSON, bad CSV)."""
+    """Input could not be parsed (malformed JSON)."""
 
 
 class SchemaError(MudmonError):
     """Input parsed but violates the expected schema or an invariant."""
-
-
-class FormatError(MudmonError):
-    """Counter CSV row is malformed or out of order; carries a line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class NoDeviceError(MudmonError):
@@ -47,7 +39,3 @@ class DegenerateDataError(MudmonError):
 
 class LayoutMismatchError(MudmonError):
     """Vector length does not match the layout the model was trained on."""
-
-
-class MissingScopeError(MudmonError):
-    """A registered scope has no feature vector for the current minute."""

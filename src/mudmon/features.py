@@ -44,31 +44,28 @@ class FeatureLayout:
         if not 1 <= self.max_window_min <= 8:
             raise ValueError("window must be within 1..8 minutes")
 
-    def per_rule_count(self) -> int:
+    def windows(self) -> tuple[range, range]:
+        """Window lengths of a rule block: (totals, means and stds)."""
         w = self.max_window_min
-        if w == 1:
-            return 2  # all feature sets collapse to the raw minute totals
-        if self.feature_set is FeatureSet.FS1:
-            return 2 * w
+        if w == 1 or self.feature_set is FeatureSet.FS1:
+            # At W == 1 all feature sets collapse to the raw minute totals.
+            return range(1, w + 1), range(0)
         if self.feature_set is FeatureSet.FS2:
-            return 6
-        return 6 * w - 4
+            return range(1, 2), range(w, w + 1)
+        return range(1, w + 1), range(2, w + 1)
+
+    def per_rule_count(self) -> int:
+        return len(self.per_rule_names())
 
     def per_rule_names(self) -> list[str]:
-        w = self.max_window_min
+        totals, stats = self.windows()
         names: list[str] = []
-        if self.feature_set in (FeatureSet.FS1, FeatureSet.FS3) or w == 1:
-            total_windows = range(1, w + 1)
-        else:
-            total_windows = range(1, 2)
-        for i in total_windows:
+        for i in totals:
             names += [f"pkts_total_w{i}", f"bytes_total_w{i}"]
-        if w > 1 and self.feature_set is not FeatureSet.FS1:
-            stat_windows = range(2, w + 1) if self.feature_set is FeatureSet.FS3 else [w]
-            for i in stat_windows:
-                names += [f"pkts_mean_w{i}", f"bytes_mean_w{i}"]
-            for i in stat_windows:
-                names += [f"pkts_std_w{i}", f"bytes_std_w{i}"]
+        for i in stats:
+            names += [f"pkts_mean_w{i}", f"bytes_mean_w{i}"]
+        for i in stats:
+            names += [f"pkts_std_w{i}", f"bytes_std_w{i}"]
         return names
 
 
@@ -100,26 +97,20 @@ class VolumetricFeatureVector:
 def _rule_block(pkts: Sequence[int], bytes_: Sequence[int],
                 layout: FeatureLayout) -> list[float]:
     """Feature block for one rule given the last W minutes, newest last."""
-    w = layout.max_window_min
+    totals, stats = layout.windows()
     out: list[float] = []
-    if layout.feature_set in (FeatureSet.FS1, FeatureSet.FS3) or w == 1:
-        total_windows = range(1, w + 1)
-    else:
-        total_windows = range(1, 2)
-    for i in total_windows:
+    for i in totals:
         out.append(float(sum(pkts[-i:])))
         out.append(float(sum(bytes_[-i:])))
-    if w > 1 and layout.feature_set is not FeatureSet.FS1:
-        stat_windows = range(2, w + 1) if layout.feature_set is FeatureSet.FS3 else [w]
-        means = []
-        for i in stat_windows:
-            means.append((sum(pkts[-i:]) / i, sum(bytes_[-i:]) / i))
-            out += [means[-1][0], means[-1][1]]
-        for idx, i in enumerate(stat_windows):
-            mp, mb = means[idx]
-            vp = sum((x - mp) ** 2 for x in pkts[-i:]) / i
-            vb = sum((x - mb) ** 2 for x in bytes_[-i:]) / i
-            out += [math.sqrt(vp), math.sqrt(vb)]
+    means = []
+    for i in stats:
+        means.append((sum(pkts[-i:]) / i, sum(bytes_[-i:]) / i))
+        out += [means[-1][0], means[-1][1]]
+    for idx, i in enumerate(stats):
+        mp, mb = means[idx]
+        vp = sum((x - mp) ** 2 for x in pkts[-i:]) / i
+        vb = sum((x - mb) ** 2 for x in bytes_[-i:]) / i
+        out += [math.sqrt(vp), math.sqrt(vb)]
     return out
 
 

@@ -187,10 +187,6 @@ class MatchSpec:
                 out.append("icmp_code")
         return tuple(out)
 
-    def to_json(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if v is not None}
-        return d
-
 
 @dataclass(frozen=True)
 class FlowRuleTemplate:
@@ -204,18 +200,6 @@ class FlowRuleTemplate:
     group: str = ""
     scope: Scope | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "flow_id": self.flow_id,
-            "match": self.match.to_json(),
-            "priority": self.priority,
-            "action": self.action.value,
-            "binding": self.binding.value,
-            "role": self.role.value,
-            "group": self.group,
-            "scope": self.scope.value if self.scope else None,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -223,6 +207,18 @@ class FlowRuleTemplate:
 
 def _ace_error(index: int, direction: str, msg: str) -> SchemaError:
     return SchemaError(f"ACE #{index} ({direction}): {msg}")
+
+
+def _member(node: dict, key: str, kind: type, where: str) -> Any:
+    """``node[key]``, empty when absent; SchemaError if of another JSON type."""
+    value = node.get(key, kind())
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where}: {key!r} must be a {kind.__name__}")
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_port(node: Any, index: int, direction: str) -> int | None:
@@ -235,26 +231,32 @@ def _parse_port(node: Any, index: int, direction: str) -> int | None:
         port = node.get("port")
     else:
         port = node
-    if not isinstance(port, int) or not 0 < port < 65536:
+    if not _is_int(port) or not 0 < port < 65536:
         raise _ace_error(index, direction, f"bad port value {port!r}")
     return port
 
 
-def _parse_one_ace(raw: dict, direction: Direction, index: int) -> Ace:
+def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
     dirname = direction.value
-    matches = raw.get("matches")
+    where = f"ACE #{index} ({dirname})"
+    matches = raw.get("matches") if isinstance(raw, dict) else None
     if not isinstance(matches, dict):
         raise _ace_error(index, dirname, "missing matches")
 
-    ipv4 = matches.get("ipv4", {})
-    eth = matches.get("eth", {})
-    mud_nodes = matches.get("ietf-mud:mud", {})
+    ipv4 = _member(matches, "ipv4", dict, where)
+    eth = _member(matches, "eth", dict, where)
+    mud_nodes = _member(matches, "ietf-mud:mud", dict, where)
 
     protocol: int | str | None = None
     if "ethertype" in eth:
         ethertype = eth["ethertype"]
         if isinstance(ethertype, str):
-            ethertype = int(ethertype, 16) if ethertype.startswith("0x") else int(ethertype)
+            try:
+                ethertype = int(ethertype, 16) if ethertype.startswith("0x") else int(ethertype)
+            except ValueError:
+                pass
+        if not _is_int(ethertype):
+            raise _ace_error(index, dirname, f"bad ethertype {eth['ethertype']!r}")
         if ethertype == ETH_ARP:
             protocol = "arp"
         elif ethertype == ETH_EAPOL:
@@ -263,7 +265,7 @@ def _parse_one_ace(raw: dict, direction: Direction, index: int) -> Ace:
             raise _ace_error(index, dirname, f"unsupported ethertype {ethertype:#x}")
     elif "protocol" in ipv4:
         protocol = ipv4["protocol"]
-        if protocol not in (PROTO_ICMP, PROTO_TCP, PROTO_UDP):
+        if not _is_int(protocol) or protocol not in (PROTO_ICMP, PROTO_TCP, PROTO_UDP):
             raise _ace_error(index, dirname, f"unsupported ip protocol {protocol!r}")
     elif "tcp" in matches:
         protocol = PROTO_TCP
@@ -277,21 +279,24 @@ def _parse_one_ace(raw: dict, direction: Direction, index: int) -> Ace:
 
     src_port = dst_port = None
     for proto_key, proto_num in (("tcp", PROTO_TCP), ("udp", PROTO_UDP)):
-        node = matches.get(proto_key)
-        if node is None:
+        if proto_key not in matches:
             continue
+        node = _member(matches, proto_key, dict, where)
         if protocol != proto_num:
             raise _ace_error(index, dirname, f"{proto_key} ports with protocol {protocol}")
         src_port = _parse_port(node.get("source-port"), index, dirname)
         dst_port = _parse_port(node.get("destination-port"), index, dirname)
 
     icmp_type = icmp_code = None
-    icmp = matches.get("icmp")
-    if icmp is not None:
+    if "icmp" in matches:
+        icmp = _member(matches, "icmp", dict, where)
         if protocol != PROTO_ICMP:
             raise _ace_error(index, dirname, "icmp fields with non-icmp protocol")
         icmp_type = icmp.get("type")
         icmp_code = icmp.get("code")
+        for value in (icmp_type, icmp_code):
+            if value is not None and not (_is_int(value) and 0 <= value <= 255):
+                raise _ace_error(index, dirname, f"bad icmp type/code {value!r}")
 
     if protocol not in (PROTO_TCP, PROTO_UDP) and (src_port or dst_port):
         raise _ace_error(index, dirname, "ports only valid for tcp/udp")
@@ -303,6 +308,9 @@ def _parse_one_ace(raw: dict, direction: Direction, index: int) -> Ace:
     network = ipv4.get("source-ipv4-network") or ipv4.get("destination-ipv4-network")
     controller = mud_nodes.get("controller")
     local_networks = "local-networks" in mud_nodes
+    for value in (domain, network):
+        if value is not None and not isinstance(value, str):
+            raise _ace_error(index, dirname, f"bad endpoint {value!r}")
 
     if domain is not None:
         if local_networks:
@@ -343,20 +351,21 @@ def parse_profile(json_text: str) -> MudProfile:
         raise SchemaError("missing ietf-mud:mud envelope")
 
     acls: dict[str, list] = {}
-    acl_root = doc.get("ietf-access-control-list:acls", {})
-    for acl in acl_root.get("acl", []):
-        name = acl.get("name")
-        if not name:
+    acl_root = _member(doc, "ietf-access-control-list:acls", dict, "document")
+    for acl in _member(acl_root, "acl", list, "acls"):
+        name = acl.get("name") if isinstance(acl, dict) else None
+        if not name or not isinstance(name, str):
             raise SchemaError("ACL without a name")
-        acls[name] = acl.get("aces", {}).get("ace", [])
+        acls[name] = _member(_member(acl, "aces", dict, name), "ace", list, name)
 
     def collect(policy_key: str, direction: Direction) -> list[Ace]:
         out: list[Ace] = []
-        policy = mud.get(policy_key, {})
-        refs = policy.get("access-lists", {}).get("access-list", [])
+        policy = _member(mud, policy_key, dict, "ietf-mud:mud")
+        refs = _member(_member(policy, "access-lists", dict, policy_key),
+                       "access-list", list, policy_key)
         for ref in refs:
-            acl_name = ref.get("name")
-            if acl_name not in acls:
+            acl_name = ref.get("name") if isinstance(ref, dict) else None
+            if not isinstance(acl_name, str) or acl_name not in acls:
                 raise SchemaError(f"{policy_key} references unknown ACL {acl_name!r}")
             for i, raw in enumerate(acls[acl_name]):
                 out.append(_parse_one_ace(raw, direction, i))
@@ -397,6 +406,31 @@ def _service_key(ace: Ace) -> _ServiceKey:
                        remote_port, device_port, ace.icmp_type, ace.icmp_code)
 
 
+def _pair_kind(key: _ServiceKey) -> str | None:
+    """The ``_PAIR_SHAPES`` entry a service takes; None if the baseline covers it."""
+    if key.protocol in ("arp", "eapol"):
+        return None  # baseline roles cover these
+    if key.scope is Scope.INTERNET:
+        return "domain" if key.endpoint_kind is EndpointKind.DOMAIN else "ip"
+    if key.endpoint_kind is EndpointKind.GATEWAY:
+        if key.protocol == PROTO_UDP and key.remote_port == 53:
+            return None  # folds into the reserved DNS pair
+        return "gateway"
+    return "local"
+
+
+# How each kind of service becomes a rule pair: priority, binding, scope,
+# whether the remote side is the gateway MAC (else any MAC), the remote
+# address field ("domain" or "ip"; gateway services match the gateway IP),
+# and whether <letter>.1 is the to-device direction.
+_PAIR_SHAPES: dict[str, tuple[int, Binding, Scope, bool, str | None, bool]] = {
+    "domain": (PRIORITY_REACTIVE, Binding.REACTIVE_DNS, Scope.INTERNET, True, "domain", True),
+    "ip": (PRIORITY_REACTIVE, Binding.PROACTIVE, Scope.INTERNET, True, "ip", True),
+    "gateway": (PRIORITY_NAMED_SERVICE, Binding.PROACTIVE, Scope.LOCAL, True, "ip", True),
+    "local": (PRIORITY_PORT_EXPOSED, Binding.PROACTIVE, Scope.LOCAL, False, None, False),
+}
+
+
 def _letter_sequence() -> Iterator[str]:
     for i in range(1000):
         letter = chr(ord("a") + i % 26) + ("" if i < 26 else str(i // 26 + 1))
@@ -416,31 +450,13 @@ def translate(
     the service pairs derived from ACEs plus the always-on baseline (EAPOL,
     DHCP, DNS, Internet default mirrors, ARP, local default mirror).
     """
-    if device_mac == gateway_mac:
-        raise SchemaError("device and gateway MAC must differ")
     device_mac = device_mac.lower()
     gateway_mac = gateway_mac.lower()
+    if device_mac == gateway_mac:
+        raise SchemaError("device and gateway MAC must differ")
 
     # Pair from/to ACEs describing the same service; keep first-seen order.
-    services: dict[_ServiceKey, Ace] = {}
-    for ace in profile.aces:
-        key = _service_key(ace)
-        services.setdefault(key, ace)
-
-    internet: list[_ServiceKey] = []
-    gateway: list[_ServiceKey] = []
-    local: list[_ServiceKey] = []
-    for key in services:
-        if key.protocol in ("arp", "eapol"):
-            continue  # baseline roles cover these
-        if key.scope is Scope.INTERNET:
-            internet.append(key)
-        elif key.endpoint_kind is EndpointKind.GATEWAY:
-            if key.protocol == PROTO_UDP and key.remote_port == 53:
-                continue  # folds into the reserved DNS pair
-            gateway.append(key)
-        else:
-            local.append(key)
+    kinds = {key: _pair_kind(key) for key in map(_service_key, profile.aces)}
 
     rules: list[FlowRuleTemplate] = []
     letters = _letter_sequence()
@@ -450,54 +466,28 @@ def translate(
         rules.append(FlowRuleTemplate(flow_id, match, priority, action, binding,
                                       role, group, scope))
 
-    def emit_internet(key: _ServiceKey, letter: str) -> None:
-        reactive = key.endpoint_kind is EndpointKind.DOMAIN
-        binding = Binding.REACTIVE_DNS if reactive else Binding.PROACTIVE
-        domain = key.endpoint_value if reactive else None
-        ip = key.endpoint_value if not reactive else None
-        common = dict(eth_type=ETH_IPV4, proto=key.protocol if isinstance(key.protocol, int) else None,
-                      icmp_type=key.icmp_type, icmp_code=key.icmp_code)
-        emit(f"{letter}.1", letter,
-             MatchSpec(src_mac=gateway_mac, dst_mac=device_mac,
-                       src_ip=ip, src_domain=domain,
-                       src_port=key.remote_port, dst_port=key.device_port, **common),
-             PRIORITY_REACTIVE, Action.FORWARD, binding, RuleRole.SERVICE, Scope.INTERNET)
-        emit(f"{letter}.2", letter,
-             MatchSpec(src_mac=device_mac, dst_mac=gateway_mac,
-                       dst_ip=ip, dst_domain=domain,
-                       src_port=key.device_port, dst_port=key.remote_port, **common),
-             PRIORITY_REACTIVE, Action.FORWARD, binding, RuleRole.SERVICE, Scope.INTERNET)
+    def emit_services(*wanted: str) -> None:
+        for key, kind in kinds.items():
+            if kind not in wanted:
+                continue
+            priority, binding, scope, via_gateway, address, inbound_first = _PAIR_SHAPES[kind]
+            letter = next(letters)
+            remote_mac = gateway_mac if via_gateway else None
+            value = gateway_ip if kind == "gateway" else key.endpoint_value
+            src_addr = {f"src_{address}": value} if address else {}
+            dst_addr = {f"dst_{address}": value} if address else {}
+            common = dict(eth_type=ETH_IPV4, proto=key.protocol,
+                          icmp_type=key.icmp_type, icmp_code=key.icmp_code)
+            inbound = MatchSpec(src_mac=remote_mac, dst_mac=device_mac, **src_addr,
+                                src_port=key.remote_port, dst_port=key.device_port, **common)
+            outbound = MatchSpec(src_mac=device_mac, dst_mac=remote_mac, **dst_addr,
+                                 src_port=key.device_port, dst_port=key.remote_port, **common)
+            pair = (inbound, outbound) if inbound_first else (outbound, inbound)
+            for n, match in enumerate(pair, 1):
+                emit(f"{letter}.{n}", letter, match, priority, Action.FORWARD, binding,
+                     RuleRole.SERVICE, scope)
 
-    def emit_gateway(key: _ServiceKey, letter: str) -> None:
-        common = dict(eth_type=ETH_IPV4, proto=key.protocol if isinstance(key.protocol, int) else None,
-                      icmp_type=key.icmp_type, icmp_code=key.icmp_code)
-        emit(f"{letter}.1", letter,
-             MatchSpec(src_mac=gateway_mac, dst_mac=device_mac, src_ip=gateway_ip,
-                       src_port=key.remote_port, dst_port=key.device_port, **common),
-             PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
-             RuleRole.SERVICE, Scope.LOCAL)
-        emit(f"{letter}.2", letter,
-             MatchSpec(src_mac=device_mac, dst_mac=gateway_mac, dst_ip=gateway_ip,
-                       src_port=key.device_port, dst_port=key.remote_port, **common),
-             PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
-             RuleRole.SERVICE, Scope.LOCAL)
-
-    def emit_local(key: _ServiceKey, letter: str) -> None:
-        common = dict(eth_type=ETH_IPV4, proto=key.protocol if isinstance(key.protocol, int) else None,
-                      icmp_type=key.icmp_type, icmp_code=key.icmp_code)
-        emit(f"{letter}.1", letter,
-             MatchSpec(src_mac=device_mac, dst_mac=None,
-                       src_port=key.device_port, dst_port=key.remote_port, **common),
-             PRIORITY_PORT_EXPOSED, Action.FORWARD, Binding.PROACTIVE,
-             RuleRole.SERVICE, Scope.LOCAL)
-        emit(f"{letter}.2", letter,
-             MatchSpec(src_mac=None, dst_mac=device_mac,
-                       src_port=key.remote_port, dst_port=key.device_port, **common),
-             PRIORITY_PORT_EXPOSED, Action.FORWARD, Binding.PROACTIVE,
-             RuleRole.SERVICE, Scope.LOCAL)
-
-    for key in internet:
-        emit_internet(key, next(letters))
+    emit_services("domain", "ip")
 
     # EAPOL (c) and DHCP (d) always present: device discovery and the binding
     # table depend on them.
@@ -513,8 +503,7 @@ def translate(
          PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
          RuleRole.DHCP, Scope.LOCAL)
 
-    for key in gateway:
-        emit_gateway(key, next(letters))
+    emit_services("gateway")
 
     # DNS with the local gateway: replies are mirrored to drive reactive
     # bindings, so the pair exists whether or not the profile lists it.
@@ -541,8 +530,7 @@ def translate(
     emit("h.2", "h", MatchSpec(src_mac=device_mac, eth_type=ETH_ARP),
          PRIORITY_ARP, Action.FORWARD, Binding.PROACTIVE, RuleRole.ARP, Scope.LOCAL)
 
-    for key in local:
-        emit_local(key, next(letters))
+    emit_services("local")
 
     # Local default: only the to-device direction, mirrored.
     emit("k", "k", MatchSpec(dst_mac=device_mac, eth_type=ETH_IPV4),
@@ -565,6 +553,3 @@ def service_groups(rules: list[FlowRuleTemplate]) -> dict[str, list[FlowRuleTemp
         groups.setdefault(rule.group, []).append(rule)
     return groups
 
-
-def rules_to_json(rules: list[FlowRuleTemplate]) -> str:
-    return json.dumps([r.to_json() for r in rules], indent=2)

@@ -9,14 +9,13 @@ Four ways to serve N units of one device type:
   score its instances and retrain with only the misclassified ones appended,
   so the type model grows by what it did not already know.
 
-Each result carries training-instance counts, wall time, and serialized
-size, plus the per-unit accuracy curve for the progressive strategy when an
-evaluation set is supplied.
+Each result carries the training-instance count, plus the per-unit
+accuracy curve for the progressive strategy when an evaluation set is
+supplied.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,8 +36,6 @@ class StrategyResult:
     strategy: Strategy
     models: list[tuple[str, WorkerModel]]  # (scope label, model)
     train_instances: int
-    train_seconds: float
-    model_bytes: int
     # Progressive only: accuracy on the evaluation set after covering each
     # unit, and the training-set size at each step.
     accuracy_curve: list[float] = field(default_factory=list)
@@ -72,34 +69,27 @@ def train_strategy(
         raise ValueError("need at least one unit")
     cfg = cfg or TrainConfig()
     rng = np.random.default_rng(seed)
-    started = time.perf_counter()
 
     if strategy is Strategy.PER_UNIT:
         models = [(f"unit{i}", train(x, cfg, seed=seed + i))
                   for i, x in enumerate(unit_sets)]
         return StrategyResult(
             strategy, models,
-            train_instances=sum(len(x) for x in unit_sets),
-            train_seconds=time.perf_counter() - started,
-            model_bytes=sum(len(m.to_json().encode()) for _, m in models))
+            train_instances=sum(len(x) for x in unit_sets))
 
     if strategy is Strategy.NAIVE_TYPE:
         chosen = int(rng.integers(len(unit_sets)))
         model = train(unit_sets[chosen], cfg, seed=seed)
         return StrategyResult(
             strategy, [(type_label, model)],
-            train_instances=len(unit_sets[chosen]),
-            train_seconds=time.perf_counter() - started,
-            model_bytes=len(model.to_json().encode()))
+            train_instances=len(unit_sets[chosen]))
 
     if strategy is Strategy.UNIVERSAL_TYPE:
         pooled = np.vstack(unit_sets)
         model = train(pooled, cfg, seed=seed)
         return StrategyResult(
             strategy, [(type_label, model)],
-            train_instances=len(pooled),
-            train_seconds=time.perf_counter() - started,
-            model_bytes=len(model.to_json().encode()))
+            train_instances=len(pooled))
 
     # Progressive: grow the training set by misclassified instances only.
     training = np.array(unit_sets[0], dtype=float, copy=True)
@@ -120,56 +110,4 @@ def train_strategy(
     return StrategyResult(
         Strategy.PROGRESSIVE_TYPE, [(type_label, model)],
         train_instances=len(training),
-        train_seconds=time.perf_counter() - started,
-        model_bytes=len(model.to_json().encode()),
         accuracy_curve=curve, instance_curve=sizes)
-
-
-def make_unit_datasets(
-    n_units: int,
-    rows_per_unit: int,
-    seed: int = 0,
-    n_features: int = 12,
-    shared_modes: int = 2,
-    identical: bool = False,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Synthetic fleet: per-unit benign matrices plus a labeled eval mix.
-
-    Every unit shares a few base activity modes; unless ``identical``, unit
-    i adds one tight unit-specific mode, so a type model must see the unit
-    to cover it. The evaluation set mixes benign rows from every unit with
-    attack rows far outside all modes (label 1).
-    """
-    rng = np.random.default_rng(seed)
-    base_centers = rng.uniform(0.0, 30.0, size=(shared_modes, n_features))
-    unit_sets: list[np.ndarray] = []
-    eval_parts: list[np.ndarray] = []
-    for u in range(n_units):
-        own_center = (base_centers[0] if identical
-                      else rng.uniform(40.0 + 25.0 * u, 50.0 + 25.0 * u,
-                                       size=n_features))
-        rows = []
-        for _ in range(rows_per_unit):
-            r = rng.random()
-            if identical or r < 0.7:
-                c = base_centers[int(rng.integers(shared_modes))]
-            else:
-                c = own_center
-            rows.append(c + rng.normal(0.0, 0.8, size=n_features))
-        unit_sets.append(np.array(rows))
-        eval_rows = []
-        for _ in range(max(40, rows_per_unit // 10)):
-            r = rng.random()
-            if identical or r < 0.7:
-                c = base_centers[int(rng.integers(shared_modes))]
-            else:
-                c = own_center
-            eval_rows.append(c + rng.normal(0.0, 0.8, size=n_features))
-        eval_parts.append(np.array(eval_rows))
-    benign_eval = np.vstack(eval_parts)
-    attack_eval = rng.uniform(-400.0, -300.0,
-                              size=(len(benign_eval) // 2, n_features))
-    eval_x = np.vstack([benign_eval, attack_eval])
-    eval_y = np.concatenate([np.zeros(len(benign_eval), dtype=int),
-                             np.ones(len(attack_eval), dtype=int)])
-    return unit_sets, eval_x, eval_y

@@ -15,7 +15,7 @@ per-IP instances of one reactive rule, are aggregated).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -27,7 +27,6 @@ from .mud import (
     MatchSpec,
     PRIORITY_BLOCK,
     PRIORITY_MICROFLOW,
-    RuleRole,
 )
 
 US_PER_SEC = 1_000_000
@@ -47,13 +46,6 @@ class Origin(str, Enum):
 class DnsAnswer:
     domain: str
     ips: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DhcpInfo:
-    mac: str
-    ip: str
-    mud_url: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,46 +69,7 @@ class PacketRecord:
     dst_port: int | None = None
     icmp_type: int | None = None
     icmp_code: int | None = None
-    payload_hint: DnsAnswer | DhcpInfo | ArpInfo | None = None
-
-    def to_json(self) -> dict:
-        d = {"ts": self.ts, "src_mac": self.src_mac, "dst_mac": self.dst_mac,
-             "eth_type": self.eth_type, "length": self.length}
-        for k in ("src_ip", "dst_ip", "proto", "src_port", "dst_port",
-                  "icmp_type", "icmp_code"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        hint = self.payload_hint
-        if isinstance(hint, DnsAnswer):
-            d["payload"] = {"kind": "dns_answer", "domain": hint.domain, "ips": list(hint.ips)}
-        elif isinstance(hint, DhcpInfo):
-            d["payload"] = {"kind": "dhcp", "mac": hint.mac, "ip": hint.ip,
-                            "mud_url": hint.mud_url}
-        elif isinstance(hint, ArpInfo):
-            d["payload"] = {"kind": "arp", "sender_ip": hint.sender_ip,
-                            "sender_mac": hint.sender_mac, "op": hint.op}
-        return d
-
-    @staticmethod
-    def from_json(d: dict) -> "PacketRecord":
-        hint = None
-        payload = d.get("payload")
-        if payload:
-            kind = payload["kind"]
-            if kind == "dns_answer":
-                hint = DnsAnswer(payload["domain"], tuple(payload["ips"]))
-            elif kind == "dhcp":
-                hint = DhcpInfo(payload["mac"], payload["ip"], payload.get("mud_url"))
-            elif kind == "arp":
-                hint = ArpInfo(payload["sender_ip"], payload["sender_mac"], payload["op"])
-        return PacketRecord(
-            ts=d["ts"], src_mac=d["src_mac"], dst_mac=d["dst_mac"],
-            eth_type=d["eth_type"], length=d["length"],
-            src_ip=d.get("src_ip"), dst_ip=d.get("dst_ip"), proto=d.get("proto"),
-            src_port=d.get("src_port"), dst_port=d.get("dst_port"),
-            icmp_type=d.get("icmp_type"), icmp_code=d.get("icmp_code"),
-            payload_hint=hint)
+    payload_hint: DnsAnswer | ArpInfo | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +102,6 @@ class FlowEntry:
     packet_count: int = 0
     byte_count: int = 0
     last_hit: int = 0  # microseconds
-    inserted_at: int = 0
     seq: int = 0
     # Polling bookkeeping
     polled_packets: int = 0
@@ -233,9 +185,7 @@ class SwitchSim:
     """Per-device match-action flow tables with mirroring and telemetry.
 
     ``on_mirror`` callbacks receive ``(device_id, flow_id, pkt)`` for every
-    mirrored packet; ``on_dhcp`` receives DHCP payload hints regardless of
-    rule actions (identity snooping happens on the bootstrap path, before
-    and independent of MUD rules).
+    mirrored packet.
     """
 
     def __init__(self, tcam_capacity: int = 1024,
@@ -248,7 +198,6 @@ class SwitchSim:
         self.mac_to_device: dict[str, str] = {}
         self.dns_cache: dict[str, set[str]] = {}
         self.on_mirror: list[Callable[[str, str, PacketRecord], None]] = []
-        self.on_dhcp: list[Callable[[DhcpInfo, PacketRecord], None]] = []
         self.dropped_packets = 0
         self.total_packets = 0
         self.mirrored_packets = 0
@@ -269,18 +218,11 @@ class SwitchSim:
         self.tables[device_id] = table
         self.mac_to_device[mac] = device_id
 
-    def device_for_mac(self, mac: str) -> str | None:
-        return self.mac_to_device.get(mac)
-
     # -- packet path ------------------------------------------------------
 
     def process_packet(self, pkt: PacketRecord, now: int | None = None) -> Disposition:
         now = pkt.ts if now is None else now
         self.total_packets += 1
-
-        if isinstance(pkt.payload_hint, DhcpInfo):
-            for cb in self.on_dhcp:
-                cb(pkt.payload_hint, pkt)
 
         device_ids = []
         src_dev = self.mac_to_device.get(pkt.src_mac)
@@ -353,7 +295,7 @@ class SwitchSim:
                         flow_id=tpl.flow_id, match=concrete, priority=tpl.priority,
                         action=tpl.action, origin=Origin.MUD_REACTIVE_DNS,
                         idle_timeout_sec=self.reactive_idle_sec,
-                        last_hit=now, inserted_at=now)
+                        last_hit=now)
                     table.add_entry(entry)
                     inserted.append(entry)
         return inserted
@@ -383,7 +325,7 @@ class SwitchSim:
             priority=PRIORITY_MICROFLOW, action=Action.FORWARD,
             origin=Origin.STAGE3_MICROFLOW,
             idle_timeout_sec=self.microflow_idle_sec,
-            last_hit=now, inserted_at=now)
+            last_hit=now)
         table.add_entry(entry)
         table.microflow_index[key] = entry
         return entry
@@ -394,41 +336,40 @@ class SwitchSim:
         entry = FlowEntry(
             flow_id=f"block:{label}", match=match, priority=PRIORITY_BLOCK,
             action=Action.BLOCK, origin=Origin.MITIGATION_BLOCK,
-            last_hit=now, inserted_at=now)
+            last_hit=now)
         table.add_entry(entry)
         return entry
 
     def remove_microflows(self, device_id: str, parent_flow_ids: set[str] | None = None
                           ) -> list[str]:
         """Drop stage-3 microflow entries (all, or those under given parents)."""
+        def doomed(entry: FlowEntry) -> bool:
+            return (entry.origin is Origin.STAGE3_MICROFLOW
+                    and (parent_flow_ids is None
+                         or entry.flow_id.split("~", 1)[0] in parent_flow_ids))
+
         table = self.tables[device_id]
-        removed = []
-        kept = []
-        for entry in table.entries:
-            if entry.origin is Origin.STAGE3_MICROFLOW:
-                parent = entry.flow_id.split("~", 1)[0]
-                if parent_flow_ids is None or parent in parent_flow_ids:
-                    removed.append(entry.flow_id)
-                    table.bank_residual(entry)
-                    continue
-            kept.append(entry)
-        table.entries = kept
+        removed = [e for e in table.entries if doomed(e)]
+        for entry in removed:
+            table.bank_residual(entry)
+        table.entries = [e for e in table.entries if not doomed(e)]
         table.microflow_index = {k: v for k, v in table.microflow_index.items()
-                                 if v in kept}
-        return removed
+                                 if not doomed(v)}
+        return [e.flow_id for e in removed]
 
     def set_flow_action(self, device_id: str, flow_ids: Iterable[str],
                         action: Action) -> None:
         flow_ids = set(flow_ids)
-        for entry in self.tables[device_id].entries:
+        table = self.tables[device_id]
+        for entry in table.entries:
             if entry.flow_id in flow_ids:
                 entry.action = action
-        for tpl_list in (self.tables[device_id].reactive_templates,):
-            for i, tpl in enumerate(tpl_list):
-                if tpl.flow_id in flow_ids:
-                    tpl_list[i] = FlowRuleTemplate(
-                        tpl.flow_id, tpl.match, tpl.priority, action,
-                        tpl.binding, tpl.role, tpl.group, tpl.scope)
+        templates = table.reactive_templates
+        for i, tpl in enumerate(templates):
+            if tpl.flow_id in flow_ids:
+                templates[i] = FlowRuleTemplate(
+                    tpl.flow_id, tpl.match, tpl.priority, action,
+                    tpl.binding, tpl.role, tpl.group, tpl.scope)
 
     # -- maintenance ------------------------------------------------------
 
@@ -483,6 +424,3 @@ class SwitchSim:
 
     def entry_count(self, device_id: str) -> int:
         return len(self.tables[device_id].entries)
-
-    def flow_ids(self, device_id: str) -> list[str]:
-        return [e.flow_id for e in self.tables[device_id].entries]

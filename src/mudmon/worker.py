@@ -3,10 +3,12 @@
 Training pipeline: drop zero-variance features, z-score the rest, project
 onto the principal components retained by the Kaiser rule (eigenvalues of
 the correlation matrix above 1), cluster with the Manhattan-metric bisecting
-search, and set each cluster's boundary at the 97.5th percentile of training
-distances to its head. An optional first-order transition machine flags
-in-boundary observations whose cluster transition was never seen in the
-time-ordered training sequence.
+search (at most ``MAX_CLUSTERS`` clusters), and set each cluster's boundary
+at the ``BOUNDARY_PERCENTILE`` (97.5th) percentile of training distances to
+its head. An optional first-order transition machine flags in-boundary
+observations whose cluster transition was never seen in the time-ordered
+training sequence. ``TrainConfig`` sets only the minimum training rows, the
+detector mode and whether PCA runs.
 
 Prediction is pure: ``predict(vector, prev_state)`` returns a verdict and
 the next stream state, advancing state only on in-boundary observations.
@@ -17,11 +19,10 @@ always-quiet header trains to a zero-radius cluster at the origin.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -36,9 +37,11 @@ from .errors import (
 from .xmeans import xmeans
 
 MODEL_FORMAT_VERSION = 1
+BOUNDARY_PERCENTILE = 97.5
+MAX_CLUSTERS = 64
 
 
-def percentile_boundary(distances: Sequence[float], p: float = 97.5) -> float:
+def percentile_boundary(distances: Sequence[float], p: float = BOUNDARY_PERCENTILE) -> float:
     """Linear-interpolation percentile of the given distances.
 
     Sorted-order interpolation on fractional rank h = (n-1) * p / 100, the
@@ -121,25 +124,18 @@ class Verdict:
     reason: Reason
     cluster_id: int
     distance: float
-    ready: bool = True
 
 
 @dataclass
 class TrainConfig:
     min_train_rows: int = 1000
-    boundary_percentile: float = 97.5
     detector_mode: DetectorMode = DetectorMode.BOUNDARY_ONLY
-    k_min: int = 1
-    k_max: int = 64
     use_pca: bool = True
 
     @staticmethod
     def small(**overrides) -> "TrainConfig":
         """Config for compact training sets (tests, calibration phases)."""
-        cfg = TrainConfig(min_train_rows=8)
-        for k, v in overrides.items():
-            setattr(cfg, k, v)
-        return cfg
+        return dataclasses.replace(TrainConfig(min_train_rows=8), **overrides)
 
 
 _BOUNDARY_SLACK = 1e-9  # keeps the centroid itself inside a zero radius
@@ -154,7 +150,6 @@ class WorkerModel:
     detector_mode: DetectorMode
     n_features_in: int
     trained_rows: int
-    train_seconds: float = 0.0
 
     # -- scoring ----------------------------------------------------------
 
@@ -173,7 +168,7 @@ class WorkerModel:
         labels, dists = self.clusters.assign(point)
         cluster = int(labels[0])
         distance = float(dists[0])
-        if distance > float(self.clusters.radii[cluster]) + _BOUNDARY_SLACK:
+        if not distance <= float(self.clusters.radii[cluster]) + _BOUNDARY_SLACK:
             return Verdict(True, Reason.OUTSIDE_BOUNDARY, cluster, distance), prev_state
         if (self.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE
                 and self.machine is not None
@@ -189,24 +184,11 @@ class WorkerModel:
                 f"expected {self.n_features_in} features, got {x.shape[1]}")
         points = self._embed(x)
         labels, dists = self.clusters.assign(points)
-        return dists > self.clusters.radii[labels] + _BOUNDARY_SLACK
-
-    def summary(self) -> dict:
-        return {
-            "features": self.n_features_in,
-            "pca_components": self.pca.retained if self.pca else None,
-            "coverage_pct": round(self.pca.coverage * 100.0, 2) if self.pca else None,
-            "clusters": int(self.clusters.heads.shape[0]),
-            "trained_rows": self.trained_rows,
-            "train_seconds": round(self.train_seconds, 4),
-            "size_bytes": len(self.to_json().encode()),
-        }
+        return ~(dists <= self.clusters.radii[labels] + _BOUNDARY_SLACK)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        # Wall time is reported in summaries but kept out of the blob so
-        # model files are bit-identical across runs of the same seed.
         doc = {
             "version": MODEL_FORMAT_VERSION,
             "detector_mode": self.detector_mode.value,
@@ -289,14 +271,13 @@ def _fit_pca(z: np.ndarray) -> PcaBasis:
                     eigenvalues=eigvals.copy(), retained=retained)
 
 
-def _fit_boundaries(points: np.ndarray, labels: np.ndarray, heads: np.ndarray,
-                    percentile: float) -> np.ndarray:
+def _fit_boundaries(points: np.ndarray, labels: np.ndarray, heads: np.ndarray) -> np.ndarray:
     dists = cdist(points, heads, metric="cityblock")
     own = dists[np.arange(len(points)), labels]
     radii = np.zeros(heads.shape[0])
     for j in range(heads.shape[0]):
         member = own[labels == j]
-        radii[j] = percentile_boundary(member, percentile) if len(member) else 0.0
+        radii[j] = percentile_boundary(member) if len(member) else 0.0
     return radii
 
 
@@ -319,27 +300,24 @@ def _fit_machine(points: np.ndarray, labels: np.ndarray,
     return TransitionMachine(frozenset(allowed))
 
 
-def train(matrix: np.ndarray, cfg: TrainConfig | None = None, seed: int = 0
-          ) -> WorkerModel:
-    """Fit a volumetric worker on a time-ordered matrix of benign rows."""
-    cfg = cfg or TrainConfig()
-    x = np.asarray(matrix, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("training matrix must be 2-D")
+def _fit(x: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool) -> WorkerModel:
+    """Fit shared by both workers.
+
+    ``reduce`` drops constant features and runs PCA if ``cfg.use_pca``;
+    without it, constant features stay at unit scale and PCA is skipped.
+    """
     if len(x) < cfg.min_train_rows:
         raise InsufficientDataError(
             f"{len(x)} rows < required {cfg.min_train_rows}")
-    if np.all(x == x[0]):
+    if reduce and np.all(x == x[0]):
         raise DegenerateDataError("all training rows are identical")
 
-    started = time.perf_counter()
-    norm = _fit_norm(x, drop_constant=True)
+    norm = _fit_norm(x, drop_constant=reduce)
     z = norm.transform(x)
-    pca = _fit_pca(z) if cfg.use_pca else None
+    pca = _fit_pca(z) if reduce and cfg.use_pca else None
     points = pca.project(z) if pca is not None else z
-    result = xmeans(points, seed=seed, k_min=cfg.k_min, k_max=cfg.k_max)
-    radii = _fit_boundaries(points, result.labels, result.heads,
-                            cfg.boundary_percentile)
+    result = xmeans(points, seed=seed, k_max=MAX_CLUSTERS)
+    radii = _fit_boundaries(points, result.labels, result.heads)
     clusters = ClusterModel(result.heads, radii)
     machine = None
     if cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE:
@@ -347,7 +325,16 @@ def train(matrix: np.ndarray, cfg: TrainConfig | None = None, seed: int = 0
     return WorkerModel(
         norm=norm, pca=pca, clusters=clusters, machine=machine,
         detector_mode=cfg.detector_mode, n_features_in=x.shape[1],
-        trained_rows=len(x), train_seconds=time.perf_counter() - started)
+        trained_rows=len(x))
+
+
+def train(matrix: np.ndarray, cfg: TrainConfig | None = None, seed: int = 0
+          ) -> WorkerModel:
+    """Fit a volumetric worker on a time-ordered matrix of benign rows."""
+    x = np.asarray(matrix, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("training matrix must be 2-D")
+    return _fit(x, cfg or TrainConfig(), seed, reduce=True)
 
 
 def train_dispersion(matrix: np.ndarray, cfg: TrainConfig | None = None,
@@ -358,44 +345,7 @@ def train_dispersion(matrix: np.ndarray, cfg: TrainConfig | None = None,
     whose benign entropy is always zero must train to a zero-radius cluster
     so any positive entropy window is flagged.
     """
-    cfg = cfg or TrainConfig.small()
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[1] != 4:
         raise ValueError("dispersion training expects 4-epoch windows")
-    if len(x) < cfg.min_train_rows:
-        raise InsufficientDataError(
-            f"{len(x)} rows < required {cfg.min_train_rows}")
-
-    started = time.perf_counter()
-    norm = _fit_norm(x, drop_constant=False)
-    z = norm.transform(x)
-    result = xmeans(z, seed=seed, k_min=cfg.k_min, k_max=cfg.k_max)
-    radii = _fit_boundaries(z, result.labels, result.heads,
-                            cfg.boundary_percentile)
-    clusters = ClusterModel(result.heads, radii)
-    machine = None
-    if cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE:
-        machine = _fit_machine(z, result.labels, clusters)
-    return WorkerModel(
-        norm=norm, pca=None, clusters=clusters, machine=machine,
-        detector_mode=cfg.detector_mode, n_features_in=4,
-        trained_rows=len(x), train_seconds=time.perf_counter() - started)
-
-
-def rand_index(assignment_a: Sequence, assignment_b: Sequence) -> float:
-    """Pairwise-agreement similarity of two labelings over the same points."""
-    if len(assignment_a) != len(assignment_b):
-        raise ValueError("labelings must cover the same points")
-    n = len(assignment_a)
-    if n < 2:
-        raise ValueError("need at least two points")
-    from collections import Counter
-
-    pairs = comb(n, 2)
-    joint = Counter(zip(assignment_a, assignment_b))
-    a_sizes = Counter(assignment_a)
-    b_sizes = Counter(assignment_b)
-    both_same = sum(comb(c, 2) for c in joint.values())
-    a_same = sum(comb(c, 2) for c in a_sizes.values())
-    b_same = sum(comb(c, 2) for c in b_sizes.values())
-    return (pairs + 2 * both_same - a_same - b_same) / pairs
+    return _fit(x, cfg or TrainConfig.small(), seed, reduce=False)

@@ -13,6 +13,7 @@ order and initialization draws from an explicit generator.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,32 +98,23 @@ def _split_init(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([center - delta, center + delta])
 
 
-def xmeans(points: np.ndarray, seed: int, k_min: int = 1, k_max: int = 64
-           ) -> XMeansResult:
+def xmeans(points: np.ndarray, seed: int, k_max: int = 64) -> XMeansResult:
     """Find a cluster count by recursive BIC-scored bisection.
 
-    Starts from ``k_min`` clusters (one, by default) and repeatedly attempts
-    a 2-way split of each cluster, keeping splits that improve the subset
-    BIC, until no split helps or ``k_max`` is reached.
+    Starts from one cluster and repeatedly attempts a 2-way split of each
+    cluster, keeping splits that improve the subset BIC, until no split
+    helps or ``k_max`` is reached.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError("points must be a nonempty 2-D array")
     rng = np.random.default_rng(seed)
 
-    if k_min <= 1:
-        initial = [np.arange(len(points))]
-    else:
-        k0 = min(k_min, len(points))
-        labels, _ = kmedians(points, _split_init_k(points, k0, rng))
-        initial = [np.flatnonzero(labels == j) for j in range(k0)
-                   if np.any(labels == j)]
-
     final: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, head)
-    queue: list[np.ndarray] = list(initial)
-    total = len(queue)
+    queue = deque([np.arange(len(points))])
+    total = 1
     while queue:
-        idx = queue.pop(0)
+        idx = queue.popleft()
         subset = points[idx]
         head = np.median(subset, axis=0)
         distinct = len(np.unique(subset, axis=0))
@@ -149,38 +141,3 @@ def xmeans(points: np.ndarray, seed: int, k_min: int = 1, k_max: int = 64
     for j, (idx, _) in enumerate(final):
         labels[idx] = j
     return XMeansResult(heads=heads, labels=labels)
-
-
-def _split_init_k(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy farthest-point seeding for an initial k-way split."""
-    first = int(rng.integers(len(points)))
-    chosen = [first]
-    dist = cdist(points, points[[first]], metric="cityblock").ravel()
-    while len(chosen) < k:
-        nxt = int(np.argmax(dist))
-        chosen.append(nxt)
-        dist = np.minimum(dist, cdist(points, points[[nxt]], metric="cityblock").ravel())
-    return points[chosen].astype(float)
-
-
-def exhaustive_best_k(points: np.ndarray, seed: int, k_range=range(1, 6),
-                      restarts: int = 4) -> int:
-    """Reference search: full k-medians at every k, best BIC wins.
-
-    Used as an independent check on the recursive splitter.
-    """
-    points = np.asarray(points, dtype=float)
-    rng = np.random.default_rng(seed)
-    best_k, best_bic = 1, -math.inf
-    for k in k_range:
-        if k > len(points):
-            break
-        best_local = -math.inf
-        for _ in range(restarts):
-            labels, heads = kmedians(points, _split_init_k(points, k, rng))
-            if len(np.unique(labels)) < k:
-                continue
-            best_local = max(best_local, bic_score(points, labels, heads))
-        if best_local > best_bic:
-            best_k, best_bic = k, best_local
-    return best_k

@@ -16,11 +16,12 @@ from mudmon.worker import (
     TrainConfig,
     WorkerModel,
     percentile_boundary,
-    rand_index,
     train,
     train_dispersion,
 )
-from mudmon.xmeans import bic_score, exhaustive_best_k, kmedians, xmeans
+from mudmon.xmeans import bic_score, kmedians, xmeans
+
+from oracles import exhaustive_best_k, rand_index
 
 
 def two_blobs(n=400, seed=0, spread=0.5, centers=((0.0, 0.0), (12.0, 12.0))):
@@ -110,6 +111,10 @@ class TestTrain:
         assert model.pca.eigenvalues[0] == pytest.approx(2.0, abs=1e-9)
         assert model.pca.coverage == pytest.approx(1.0)
 
+    def test_small_config_rejects_unknown_override(self):
+        with pytest.raises(TypeError):
+            TrainConfig.small(use_pac=False)
+
     def test_min_rows_enforced(self):
         with pytest.raises(InsufficientDataError):
             train(np.zeros((5, 3)), TrainConfig(min_train_rows=10))
@@ -169,6 +174,18 @@ class TestPredict:
         model = train(two_blobs(), TrainConfig.small(), seed=0)
         with pytest.raises(LayoutMismatchError):
             model.predict([1.0, 2.0, 3.0])
+
+    def test_nan_feature_fails_closed(self):
+        model = train(two_blobs(), TrainConfig.small(), seed=0)
+        v, state = model.predict([float("nan"), 0.0], prev_state=7)
+        assert v.anomalous and v.reason is Reason.OUTSIDE_BOUNDARY
+        assert state == 7
+
+    def test_nan_row_flagged_in_batch(self):
+        x = two_blobs()
+        model = train(x, TrainConfig.small(), seed=0)
+        rows = np.vstack([x[:200].mean(axis=0), [0.0, float("nan")]])
+        assert model.predict_batch(rows).tolist() == [False, True]
 
     def test_illegal_transition_flagged(self):
         # Cluster A for 50 minutes then cluster B for 50: only A->A, A->B,

@@ -1,13 +1,17 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mudmon.errors import ParseError, SchemaError
+from mudmon.errors import MudmonError, ParseError, SchemaError
 from mudmon.mud import (
     Action,
     Binding,
     Direction,
     EndpointKind,
+    FlowRuleTemplate,
+    MatchSpec,
     RuleRole,
     Scope,
     feature_rules,
@@ -130,6 +134,92 @@ class TestParse:
             parse_profile(text)
 
 
+LOCAL = {"ietf-mud:mud": {"local-networks": [None]}}
+
+
+def _profile_with(from_ace):
+    return make_profile([from_ace], [])
+
+
+def _acls_as_list():
+    doc = json.loads(make_profile([], []))
+    doc["ietf-access-control-list:acls"] = [{"name": "from"}]
+    return json.dumps(doc)
+
+
+def _string_policy():
+    doc = json.loads(make_profile([], []))
+    doc["ietf-mud:mud"]["from-device-policy"] = "from"
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "acls_list": _acls_as_list(),
+    "ace_not_object": _profile_with("cloud"),
+    "string_policy": _string_policy(),
+    "ethertype_not_hex": _profile_with(ace("arp", {"eth": {"ethertype": "zz"}})),
+    "tcp_node_list": _profile_with(ace("app", {
+        "ipv4": {"protocol": 6},
+        "tcp": [{"destination-port": {"operator": "eq", "port": 80}}], **LOCAL})),
+    "port_bool": _profile_with(ace("app", {
+        "ipv4": {"protocol": 6},
+        "tcp": {"destination-port": {"operator": "eq", "port": True}}, **LOCAL})),
+    "icmp_type_string": _profile_with(ace("ping", {
+        "ipv4": {"protocol": 1}, "icmp": {"type": "a"}, **LOCAL})),
+}
+
+JSON_KEYS = st.sampled_from([
+    "ietf-mud:mud", "from-device-policy", "to-device-policy", "access-lists",
+    "access-list", "name", "ietf-access-control-list:acls", "acl", "aces", "ace",
+    "matches", "ipv4", "eth", "ethertype", "protocol", "tcp", "udp", "icmp", "type",
+    "code", "source-port", "destination-port", "operator", "port", "controller",
+    "local-networks", "ietf-acldns:dst-dnsname", "destination-ipv4-network",
+]) | st.text(max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70000) | st.floats()
+    | st.sampled_from(["eq", "0x0806", "zz", "urn:ietf:params:mud:gateway"]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=12)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) position in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+class TestParseFailsClosed:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_rejected_with_schema_error(self, name):
+        with pytest.raises(SchemaError):
+            parse_profile(MALFORMED[name])
+
+    @settings(deadline=None)
+    @given(JSON)
+    def test_arbitrary_json_raises_only_mudmon_errors(self, doc):
+        try:
+            parse_profile(json.dumps(doc))
+        except MudmonError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_profile_raises_only_mudmon_errors(self, data):
+        doc = json.loads(tplink_like_profile())
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON)
+        try:
+            translate(parse_profile(json.dumps(doc)), DEV_MAC, GW_MAC, GW_IP)
+        except MudmonError:
+            pass
+
+
 class TestTranslate:
     def test_plug_profile_matches_reference_structure(self):
         profile = parse_profile(tplink_like_profile())
@@ -234,8 +324,80 @@ class TestTranslate:
         with pytest.raises(SchemaError):
             translate(profile, DEV_MAC, DEV_MAC, GW_IP)
 
+    def test_same_mac_differing_in_case_rejected(self):
+        profile = parse_profile(make_profile([], []))
+        with pytest.raises(SchemaError):
+            translate(profile, "02:00:00:00:00:AA", "02:00:00:00:00:aa", GW_IP)
+
     def test_service_groups_exclude_defaults(self):
         profile = parse_profile(tplink_like_profile())
         groups = service_groups(translate(profile, DEV_MAC, GW_MAC, GW_IP))
         assert set(groups) == {"a", "b", "c", "d", "e", "f", "h", "i", "j"}
         assert "g" not in groups and "k" not in groups
+
+
+class TestTranslateFields:
+    """Every field of every rule for one profile covering each service kind."""
+
+    def test_every_rule_field_pinned(self):
+        text = make_profile([
+            ace("cloud", {"ipv4": {"protocol": 6, "ietf-acldns:dst-dnsname": "cloud.example"},
+                          "tcp": {"destination-port": {"operator": "eq", "port": 443}}}),
+            ace("static", {"ipv4": {"protocol": 17,
+                                    "destination-ipv4-network": "198.51.100.7/32"},
+                           "udp": {"destination-port": {"operator": "eq", "port": 123}}}),
+            ace("gw-icmp", {"ipv4": {"protocol": 1}, "icmp": {"type": 8, "code": 0},
+                            "ietf-mud:mud": {"controller": "urn:ietf:params:mud:gateway"}}),
+            ace("local-app", {"ipv4": {"protocol": 6},
+                              "tcp": {"source-port": {"operator": "eq", "port": 9999}},
+                              "ietf-mud:mud": {"local-networks": [None]}}),
+        ], [])
+        rules = translate(parse_profile(text), DEV_MAC, GW_MAC, GW_IP)
+
+        fwd, mirror = Action.FORWARD, Action.FORWARD_AND_MIRROR
+        pro, dns = Binding.PROACTIVE, Binding.REACTIVE_DNS
+        svc, inet, local = RuleRole.SERVICE, Scope.INTERNET, Scope.LOCAL
+        ip4 = 0x0800
+
+        def rule(flow_id, priority, action, binding, role, scope, **match):
+            return FlowRuleTemplate(flow_id, MatchSpec(**match), priority, action,
+                                    binding, role, flow_id[0], scope)
+
+        expected = [
+            rule("a.1", 20, fwd, dns, svc, inet, src_mac=GW_MAC, dst_mac=DEV_MAC,
+                 eth_type=ip4, src_domain="cloud.example", proto=6, src_port=443),
+            rule("a.2", 20, fwd, dns, svc, inet, src_mac=DEV_MAC, dst_mac=GW_MAC,
+                 eth_type=ip4, dst_domain="cloud.example", proto=6, dst_port=443),
+            rule("b.1", 20, fwd, pro, svc, inet, src_mac=GW_MAC, dst_mac=DEV_MAC,
+                 eth_type=ip4, src_ip="198.51.100.7", proto=17, src_port=123),
+            rule("b.2", 20, fwd, pro, svc, inet, src_mac=DEV_MAC, dst_mac=GW_MAC,
+                 eth_type=ip4, dst_ip="198.51.100.7", proto=17, dst_port=123),
+            rule("c", 11, fwd, pro, RuleRole.EAPOL, local, src_mac=DEV_MAC, eth_type=0x888E),
+            rule("d.1", 11, fwd, pro, RuleRole.DHCP, local, src_mac=DEV_MAC,
+                 dst_mac="ff:ff:ff:ff:ff:ff", eth_type=ip4, proto=17, dst_port=67),
+            rule("d.2", 11, fwd, pro, RuleRole.DHCP, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
+                 eth_type=ip4, proto=17, src_port=67),
+            rule("e.1", 11, fwd, pro, svc, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
+                 eth_type=ip4, src_ip=GW_IP, proto=1, icmp_type=8, icmp_code=0),
+            rule("e.2", 11, fwd, pro, svc, local, src_mac=DEV_MAC, dst_mac=GW_MAC,
+                 eth_type=ip4, dst_ip=GW_IP, proto=1, icmp_type=8, icmp_code=0),
+            rule("f.1", 11, fwd, pro, RuleRole.DNS, local, src_mac=DEV_MAC, dst_mac=GW_MAC,
+                 eth_type=ip4, dst_ip=GW_IP, proto=17, dst_port=53),
+            rule("f.2", 11, mirror, pro, RuleRole.DNS, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
+                 eth_type=ip4, src_ip=GW_IP, proto=17, src_port=53),
+            rule("g.1", 10, mirror, pro, RuleRole.DEFAULT_INTERNET, None, src_mac=DEV_MAC,
+                 dst_mac=GW_MAC, eth_type=ip4),
+            rule("g.2", 10, mirror, pro, RuleRole.DEFAULT_INTERNET, None, src_mac=GW_MAC,
+                 dst_mac=DEV_MAC, eth_type=ip4),
+            rule("h.1", 7, fwd, pro, RuleRole.ARP, local, dst_mac=DEV_MAC, eth_type=0x0806),
+            rule("h.2", 7, fwd, pro, RuleRole.ARP, local, src_mac=DEV_MAC, eth_type=0x0806),
+            rule("i.1", 6, fwd, pro, svc, local, src_mac=DEV_MAC, eth_type=ip4, proto=6,
+                 src_port=9999),
+            rule("i.2", 6, fwd, pro, svc, local, dst_mac=DEV_MAC, eth_type=ip4, proto=6,
+                 dst_port=9999),
+            rule("k", 5, mirror, pro, RuleRole.DEFAULT_LOCAL, None, dst_mac=DEV_MAC,
+                 eth_type=ip4),
+        ]
+        assert [r.flow_id for r in rules] == [r.flow_id for r in expected]
+        for got, want in zip(rules, expected):
+            assert got == want, got.flow_id

@@ -1,7 +1,9 @@
 import numpy as np
 
-from mudmon.strategy import Strategy, make_unit_datasets, train_strategy
+from mudmon.strategy import Strategy, train_strategy
 from mudmon.worker import TrainConfig
+
+from oracles import make_unit_datasets
 
 
 CFG = TrainConfig(min_train_rows=50)

@@ -158,6 +158,20 @@ class TestMicroflows:
         sw.process_packet(tcp_pkt(1_200_000, APP_MAC, DEV_MAC, APP_IP, DEV_IP, 50001, 9999))
         assert mirrored == ["i.2"]  # no further mirror events for that tuple
 
+    def test_remove_by_parent_keeps_other_microflows(self):
+        sw = make_switch()
+        a = FiveTuple(APP_IP, DEV_IP, 6, 50000, 9999)
+        b = FiveTuple(DEV_IP, APP_IP, 6, 9999, 50000)
+        gone = sw.insert_microflow("plug", a, "i.2", 1_000_000)
+        kept = sw.insert_microflow("plug", b, "i.1", 1_000_000)
+        sw.process_packet(tcp_pkt(1_500_000, APP_MAC, DEV_MAC, APP_IP, DEV_IP, 50000, 9999))
+        assert sw.remove_microflows("plug", {"i.2"}) == [gone.flow_id]
+        assert sw.entry_count("plug") == 17
+        assert sw.insert_microflow("plug", b, "i.1", 2_000_000) is kept
+        assert sw.insert_microflow("plug", a, "i.2", 2_000_000) is not gone
+        polled = {r.flow_id: r.packets for r in sw.poll_counters(1)}
+        assert polled[gone.flow_id] == 1  # banked before removal
+
 
 class TestExpiry:
     def test_idle_microflow_expires(self):
