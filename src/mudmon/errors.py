@@ -33,9 +33,5 @@ class InsufficientDataError(MudmonError):
     """Fewer training rows than the configured minimum."""
 
 
-class DegenerateDataError(MudmonError):
-    """Training data carries no usable variation (all rows identical)."""
-
-
 class LayoutMismatchError(MudmonError):
     """Vector length does not match the layout the model was trained on."""

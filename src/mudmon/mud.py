@@ -5,11 +5,15 @@ from-device / to-device policies reference named ACLs under
 ``ietf-access-control-list:acls``. Supported matches: ipv4 protocol,
 dns-name endpoints, ipv4 network literals, tcp/udp single ports, icmp
 type/code, the ``controller`` (gateway) and ``local-networks`` node
-abstractions, and eth ethertype (ARP / EAPOL).
+abstractions, and eth ethertype (ARP / EAPOL). Each ACE's
+``actions.forwarding`` must be ``accept`` (forward) or ``drop``/``reject``
+(block).
 
-Translation emits one bidirectional template pair per distinct service plus
-a fixed baseline: EAPOL, DHCP, DNS (reply mirrored), the two Internet
-default mirror rules, the ARP pair, and the local default mirror rule.
+Translation emits one bidirectional template pair per distinct service and
+action, plus a fixed baseline: EAPOL, DHCP, DNS (reply mirrored), the two
+Internet default mirror rules, the ARP pair, and the local default mirror
+rule. A drop or reject ACE for a service the baseline covers (ARP, EAPOL,
+DNS with the gateway) adds nothing.
 Flow-ids follow a deterministic convention: the baseline roles own the
 reserved letters c/d/f/g/h/k, and ACE-derived pairs take the remaining
 letters in order (Internet services first, then gateway services, then
@@ -106,6 +110,7 @@ class Ace:
     dst_port: int | None = None
     icmp_type: int | None = None
     icmp_code: int | None = None
+    action: Action = Action.FORWARD  # BLOCK for a drop or reject ACE
 
 
 @dataclass(frozen=True)
@@ -236,6 +241,10 @@ def _parse_port(node: Any, index: int, direction: str) -> int | None:
     return port
 
 
+# RFC 8519 forwarding actions; drop and reject both keep the traffic out.
+_FORWARDING = {"accept": Action.FORWARD, "drop": Action.BLOCK, "reject": Action.BLOCK}
+
+
 def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
     dirname = direction.value
     where = f"ACE #{index} ({dirname})"
@@ -303,6 +312,10 @@ def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
     if protocol != PROTO_ICMP and (icmp_type is not None or icmp_code is not None):
         raise _ace_error(index, dirname, "icmp type/code only valid for icmp")
 
+    forwarding = _member(raw, "actions", dict, where).get("forwarding")
+    if not isinstance(forwarding, str) or forwarding not in _FORWARDING:
+        raise _ace_error(index, dirname, f"unsupported forwarding action {forwarding!r}")
+
     # Endpoint + scope
     domain = ipv4.get("ietf-acldns:src-dnsname") or ipv4.get("ietf-acldns:dst-dnsname")
     network = ipv4.get("source-ipv4-network") or ipv4.get("destination-ipv4-network")
@@ -315,22 +328,21 @@ def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
     if domain is not None:
         if local_networks:
             raise _ace_error(index, dirname, "domain endpoints are Internet scope only")
-        return Ace(direction, Scope.INTERNET, EndpointKind.DOMAIN, domain, protocol,
-                   src_port, dst_port, icmp_type, icmp_code)
-    if controller is not None:
+        endpoint = (Scope.INTERNET, EndpointKind.DOMAIN, domain)
+    elif controller is not None:
         if controller != GATEWAY_CONTROLLER_URN:
             raise _ace_error(index, dirname, f"unsupported controller {controller!r}")
-        return Ace(direction, Scope.LOCAL, EndpointKind.GATEWAY, None, protocol,
-                   src_port, dst_port, icmp_type, icmp_code)
-    if network is not None:
-        ip = str(network).split("/")[0]
+        endpoint = (Scope.LOCAL, EndpointKind.GATEWAY, None)
+    elif network is not None:
         scope = Scope.LOCAL if local_networks else Scope.INTERNET
-        return Ace(direction, scope, EndpointKind.IP_LITERAL, ip, protocol,
-                   src_port, dst_port, icmp_type, icmp_code)
-    if local_networks or protocol in ("arp", "eapol"):
-        return Ace(direction, Scope.LOCAL, EndpointKind.ANY_LOCAL, None, protocol,
-                   src_port, dst_port, icmp_type, icmp_code)
-    raise _ace_error(index, dirname, "no endpoint (dnsname/controller/local-networks/network)")
+        endpoint = (scope, EndpointKind.IP_LITERAL, network.split("/")[0])
+    elif local_networks or protocol in ("arp", "eapol"):
+        endpoint = (Scope.LOCAL, EndpointKind.ANY_LOCAL, None)
+    else:
+        raise _ace_error(index, dirname,
+                         "no endpoint (dnsname/controller/local-networks/network)")
+    return Ace(direction, *endpoint, protocol, src_port, dst_port, icmp_type, icmp_code,
+               _FORWARDING[forwarding])
 
 
 def parse_profile(json_text: str) -> MudProfile:
@@ -395,6 +407,7 @@ class _ServiceKey:
     device_port: int | None
     icmp_type: int | None
     icmp_code: int | None
+    action: Action  # an accept and a drop for one service stay apart
 
 
 def _service_key(ace: Ace) -> _ServiceKey:
@@ -403,7 +416,7 @@ def _service_key(ace: Ace) -> _ServiceKey:
     else:
         device_port, remote_port = ace.dst_port, ace.src_port
     return _ServiceKey(ace.scope, ace.endpoint_kind, ace.endpoint_value, ace.protocol,
-                       remote_port, device_port, ace.icmp_type, ace.icmp_code)
+                       remote_port, device_port, ace.icmp_type, ace.icmp_code, ace.action)
 
 
 def _pair_kind(key: _ServiceKey) -> str | None:
@@ -484,7 +497,7 @@ def translate(
                                  src_port=key.device_port, dst_port=key.remote_port, **common)
             pair = (inbound, outbound) if inbound_first else (outbound, inbound)
             for n, match in enumerate(pair, 1):
-                emit(f"{letter}.{n}", letter, match, priority, Action.FORWARD, binding,
+                emit(f"{letter}.{n}", letter, match, priority, key.action, binding,
                      RuleRole.SERVICE, scope)
 
     emit_services("domain", "ip")

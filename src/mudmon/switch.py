@@ -5,8 +5,14 @@ Packets are matched against the highest-priority entry (first-inserted wins
 on ties), counters accumulate per entry, mirror-action hits produce mirror
 events, and DNS answers seen on mirrored replies instantiate pending
 reactive templates. Reactive entries (DNS-bound service rules, stage-3
-microflows) expire on idle timeouts; MUD-derived proactive rules are
-permanent.
+microflows) expire on idle timeouts; MUD-derived proactive rules and
+mitigation blocks are permanent.
+
+Each table also indexes its reactive entries by ``(flow_id, match)``. The
+index answers whether a reactive entry is already installed (a repeated DNS
+answer or microflow refreshes it instead of duplicating it), its size is
+the count held against ``tcam_capacity``, and it holds exactly the entries
+that expiry and microflow teardown may remove.
 
 Timestamps are integer microseconds. Counter polling happens on a minutely
 cadence and yields per-flow-id deltas (entries sharing a flow id, e.g. the
@@ -15,6 +21,7 @@ per-IP instances of one reactive rule, are aggregated).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -70,6 +77,14 @@ class PacketRecord:
     icmp_type: int | None = None
     icmp_code: int | None = None
     payload_hint: DnsAnswer | ArpInfo | None = None
+
+    def __post_init__(self) -> None:
+        # Registered MACs and rule matches are lower case. A MAC that already
+        # is stays the caller's string, so a trace's packets share one copy.
+        for name in ("src_mac", "dst_mac"):
+            mac = getattr(self, name)
+            if mac != (lower := mac.lower()):
+                object.__setattr__(self, name, lower)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,16 +154,17 @@ class Disposition:
         return self.matches[0].flow_id if self.matches else None
 
 
+_REACTIVE = (Origin.MUD_REACTIVE_DNS, Origin.STAGE3_MICROFLOW)
+
+
 class _DeviceTable:
     """Flow table plus reactive-template registry for one device."""
 
-    def __init__(self, device_id: str, mac: str, tcam_capacity: int):
-        self.device_id = device_id
-        self.mac = mac
-        self.tcam_capacity = tcam_capacity
+    def __init__(self):
         self.entries: list[FlowEntry] = []  # kept sorted: (-priority, seq)
+        # Every DNS-bound and microflow entry, by (flow_id, match).
+        self.reactive: dict[tuple[str, MatchSpec], FlowEntry] = {}
         self.reactive_templates: list[FlowRuleTemplate] = []
-        self.microflow_index: dict[tuple[str, FiveTuple], FlowEntry] = {}
         self.miss_packets = 0
         self.miss_bytes = 0
         self._miss_polled = (0, 0)
@@ -157,22 +173,27 @@ class _DeviceTable:
         self.residual: dict[str, tuple[int, int]] = {}
         self._seq = 0
 
-    def bank_residual(self, entry: FlowEntry) -> None:
-        dp = entry.packet_count - entry.polled_packets
-        db = entry.byte_count - entry.polled_bytes
-        if dp or db:
-            p, b = self.residual.get(entry.flow_id, (0, 0))
-            self.residual[entry.flow_id] = (p + dp, b + db)
-
     def add_entry(self, entry: FlowEntry) -> None:
         entry.seq = self._seq
         self._seq += 1
-        self.entries.append(entry)
-        self.entries.sort(key=lambda e: (-e.priority, e.seq))
+        bisect.insort(self.entries, entry, key=lambda e: (-e.priority, e.seq))
+        if entry.origin in _REACTIVE:
+            self.reactive[entry.flow_id, entry.match] = entry
 
-    def reactive_count(self) -> int:
-        return sum(1 for e in self.entries
-                   if e.origin in (Origin.STAGE3_MICROFLOW, Origin.MUD_REACTIVE_DNS))
+    def remove_reactive(self, doomed: Callable[[FlowEntry], bool]) -> list[FlowEntry]:
+        """Drop the reactive entries ``doomed`` picks, banking their un-polled deltas."""
+        removed = [e for e in self.reactive.values() if doomed(e)]
+        for entry in removed:
+            del self.reactive[entry.flow_id, entry.match]
+            dp = entry.packet_count - entry.polled_packets
+            db = entry.byte_count - entry.polled_bytes
+            if dp or db:
+                p, b = self.residual.get(entry.flow_id, (0, 0))
+                self.residual[entry.flow_id] = (p + dp, b + db)
+        if removed:
+            gone = {e.seq for e in removed}
+            self.entries = [e for e in self.entries if e.seq not in gone]
+        return removed
 
     def lookup(self, pkt: PacketRecord) -> FlowEntry | None:
         for entry in self.entries:
@@ -207,7 +228,7 @@ class SwitchSim:
     def register_device(self, device_id: str, mac: str,
                         templates: Iterable[FlowRuleTemplate]) -> None:
         mac = mac.lower()
-        table = _DeviceTable(device_id, mac, self.tcam_capacity)
+        table = _DeviceTable()
         for tpl in templates:
             if tpl.binding is Binding.REACTIVE_DNS:
                 table.reactive_templates.append(tpl)
@@ -286,8 +307,7 @@ class SwitchSim:
                     else:
                         concrete = MatchSpec(**{**tpl.match.__dict__,
                                                 "dst_ip": ip, "dst_domain": None})
-                    live = next((e for e in table.entries
-                                 if e.flow_id == tpl.flow_id and e.match == concrete), None)
+                    live = table.reactive.get((tpl.flow_id, concrete))
                     if live is not None:
                         live.last_hit = now
                         continue
@@ -308,26 +328,23 @@ class SwitchSim:
         sustained insertion pressure is itself a distributed-attack signal.
         """
         table = self.tables[device_id]
-        key = (parent_flow_id, five_tuple)
-        live = table.microflow_index.get(key)
-        if live is not None:
-            live.last_hit = now
-            return live
-        if table.reactive_count() >= table.tcam_capacity:
-            raise TableFullError(
-                f"{device_id}: reactive capacity {table.tcam_capacity} reached")
+        flow_id = f"{parent_flow_id}~{five_tuple}"
         match = MatchSpec(
             eth_type=0x0800, src_ip=five_tuple.src_ip, dst_ip=five_tuple.dst_ip,
             proto=five_tuple.proto, src_port=five_tuple.src_port,
             dst_port=five_tuple.dst_port)
+        live = table.reactive.get((flow_id, match))
+        if live is not None:
+            live.last_hit = now
+            return live
+        if len(table.reactive) >= self.tcam_capacity:
+            raise TableFullError(
+                f"{device_id}: reactive capacity {self.tcam_capacity} reached")
         entry = FlowEntry(
-            flow_id=f"{parent_flow_id}~{five_tuple}", match=match,
-            priority=PRIORITY_MICROFLOW, action=Action.FORWARD,
-            origin=Origin.STAGE3_MICROFLOW,
-            idle_timeout_sec=self.microflow_idle_sec,
-            last_hit=now)
+            flow_id=flow_id, match=match, priority=PRIORITY_MICROFLOW,
+            action=Action.FORWARD, origin=Origin.STAGE3_MICROFLOW,
+            idle_timeout_sec=self.microflow_idle_sec, last_hit=now)
         table.add_entry(entry)
-        table.microflow_index[key] = entry
         return entry
 
     def insert_block(self, device_id: str, match: MatchSpec, label: str,
@@ -343,18 +360,9 @@ class SwitchSim:
     def remove_microflows(self, device_id: str, parent_flow_ids: set[str] | None = None
                           ) -> list[str]:
         """Drop stage-3 microflow entries (all, or those under given parents)."""
-        def doomed(entry: FlowEntry) -> bool:
-            return (entry.origin is Origin.STAGE3_MICROFLOW
-                    and (parent_flow_ids is None
-                         or entry.flow_id.split("~", 1)[0] in parent_flow_ids))
-
-        table = self.tables[device_id]
-        removed = [e for e in table.entries if doomed(e)]
-        for entry in removed:
-            table.bank_residual(entry)
-        table.entries = [e for e in table.entries if not doomed(e)]
-        table.microflow_index = {k: v for k, v in table.microflow_index.items()
-                                 if not doomed(v)}
+        removed = self.tables[device_id].remove_reactive(
+            lambda e: e.origin is Origin.STAGE3_MICROFLOW
+            and (parent_flow_ids is None or e.flow_id.split("~", 1)[0] in parent_flow_ids))
         return [e.flow_id for e in removed]
 
     def set_flow_action(self, device_id: str, flow_ids: Iterable[str],
@@ -375,20 +383,8 @@ class SwitchSim:
 
     def expire_idle(self, now: int) -> list[tuple[str, str]]:
         """Remove idle-timed-out entries; returns (device_id, flow_id) pairs."""
-        removed = []
-        for device_id, table in self.tables.items():
-            live = []
-            for entry in table.entries:
-                if entry.expired(now):
-                    removed.append((device_id, entry.flow_id))
-                    table.bank_residual(entry)
-                else:
-                    live.append(entry)
-            if len(live) != len(table.entries):
-                table.entries = live
-                table.microflow_index = {k: v for k, v in table.microflow_index.items()
-                                         if not v.expired(now)}
-        return removed
+        return [(device_id, e.flow_id) for device_id, table in self.tables.items()
+                for e in table.remove_reactive(lambda e: e.expired(now))]
 
     def poll_counters(self, ts_min: int) -> list[FlowCounterRecord]:
         """Per-flow-id counter deltas since the previous poll.

@@ -14,7 +14,10 @@ Prediction is pure: ``predict(vector, prev_state)`` returns a verdict and
 the next stream state, advancing state only on in-boundary observations.
 Dispersion workers reuse the same machinery on raw 4-epoch entropy windows,
 skipping PCA and keeping constant features (centered, unit scale) so an
-always-quiet header trains to a zero-radius cluster at the origin.
+always-quiet header trains to a zero-radius cluster at the origin. A
+volumetric scope in whose training rows no feature varies (say, EAPOL with
+no traffic) is fitted the same way, so it flags any change instead of
+going unscored.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import (
-    DegenerateDataError,
     EmptyError,
     InsufficientDataError,
     LayoutMismatchError,
+    ParseError,
+    SchemaError,
 )
 from .xmeans import xmeans
 
@@ -216,32 +220,56 @@ class WorkerModel:
 
     @staticmethod
     def from_json(text: str) -> "WorkerModel":
-        doc = json.loads(text)
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model version {doc.get('version')}")
-        norm = NormalizationStats(
-            mean=np.array(doc["norm"]["mean"], dtype=float),
-            std=np.array(doc["norm"]["std"], dtype=float),
-            kept=np.array(doc["norm"]["kept"], dtype=int),
-            n_features_in=doc["norm"]["n_features_in"])
-        pca = None
-        if doc["pca"] is not None:
-            pca = PcaBasis(
-                components=np.array(doc["pca"]["components"], dtype=float),
-                eigenvalues=np.array(doc["pca"]["eigenvalues"], dtype=float),
-                retained=doc["pca"]["retained"])
-        clusters = ClusterModel(
-            heads=np.array(doc["clusters"]["heads"], dtype=float),
-            radii=np.array(doc["clusters"]["radii"], dtype=float))
-        machine = None
-        if doc["transitions"] is not None:
-            machine = TransitionMachine(
-                frozenset((int(a), int(b)) for a, b in doc["transitions"]))
-        return WorkerModel(
-            norm=norm, pca=pca, clusters=clusters, machine=machine,
-            detector_mode=DetectorMode(doc["detector_mode"]),
-            n_features_in=doc["n_features_in"],
-            trained_rows=doc["trained_rows"])
+        """Load a ``to_json`` document.
+
+        Raises ParseError for malformed JSON and SchemaError for another
+        version or a document whose fields or array shapes do not fit.
+        """
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed model JSON: {exc}") from exc
+        if not isinstance(doc, dict) or doc.get("version") != MODEL_FORMAT_VERSION:
+            raise SchemaError(f"not a version {MODEL_FORMAT_VERSION} model document")
+        try:
+            norm = NormalizationStats(
+                mean=np.array(doc["norm"]["mean"], dtype=float),
+                std=np.array(doc["norm"]["std"], dtype=float),
+                kept=np.array(doc["norm"]["kept"], dtype=int),
+                n_features_in=doc["norm"]["n_features_in"])
+            pca = None
+            if doc["pca"] is not None:
+                pca = PcaBasis(
+                    components=np.array(doc["pca"]["components"], dtype=float),
+                    eigenvalues=np.array(doc["pca"]["eigenvalues"], dtype=float),
+                    retained=doc["pca"]["retained"])
+            clusters = ClusterModel(
+                heads=np.array(doc["clusters"]["heads"], dtype=float),
+                radii=np.array(doc["clusters"]["radii"], dtype=float))
+            machine = None
+            if doc["transitions"] is not None:
+                machine = TransitionMachine(
+                    frozenset((int(a), int(b)) for a, b in doc["transitions"]))
+            model = WorkerModel(
+                norm=norm, pca=pca, clusters=clusters, machine=machine,
+                detector_mode=DetectorMode(doc["detector_mode"]),
+                n_features_in=doc["n_features_in"],
+                trained_rows=doc["trained_rows"])
+            width = len(norm.kept) if pca is None else pca.retained
+            fits = (isinstance(model.n_features_in, int) and isinstance(width, int)
+                    and norm.n_features_in == model.n_features_in
+                    and norm.kept.ndim == 1
+                    and norm.mean.shape == norm.std.shape == norm.kept.shape
+                    and np.all(norm.std > 0.0)
+                    and np.all((norm.kept >= 0) & (norm.kept < model.n_features_in))
+                    and (pca is None or pca.components.shape == (width, len(norm.kept)))
+                    and clusters.heads.ndim == 2 and clusters.heads.shape[1] == width
+                    and clusters.radii.shape == clusters.heads.shape[:1])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed model document: {exc!r}") from exc
+        if not fits:
+            raise SchemaError("model arrays do not fit together")
+        return model
 
 
 def _fit_norm(matrix: np.ndarray, drop_constant: bool) -> NormalizationStats:
@@ -249,8 +277,6 @@ def _fit_norm(matrix: np.ndarray, drop_constant: bool) -> NormalizationStats:
     std = matrix.std(axis=0)
     if drop_constant:
         kept = np.flatnonzero(std > 0.0)
-        if len(kept) == 0:
-            raise DegenerateDataError("every feature is constant")
         return NormalizationStats(mean[kept], std[kept], kept, matrix.shape[1])
     kept = np.arange(matrix.shape[1])
     safe_std = np.where(std > 0.0, std, 1.0)
@@ -304,13 +330,13 @@ def _fit(x: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool) -> WorkerMode
     """Fit shared by both workers.
 
     ``reduce`` drops constant features and runs PCA if ``cfg.use_pca``;
-    without it, constant features stay at unit scale and PCA is skipped.
+    without it, or when no feature varies, constant features stay at unit
+    scale and PCA is skipped.
     """
     if len(x) < cfg.min_train_rows:
         raise InsufficientDataError(
             f"{len(x)} rows < required {cfg.min_train_rows}")
-    if reduce and np.all(x == x[0]):
-        raise DegenerateDataError("all training rows are identical")
+    reduce = reduce and bool(np.any(x.std(axis=0) > 0.0))
 
     norm = _fit_norm(x, drop_constant=reduce)
     z = norm.transform(x)

@@ -117,8 +117,7 @@ def xmeans(points: np.ndarray, seed: int, k_max: int = 64) -> XMeansResult:
         idx = queue.popleft()
         subset = points[idx]
         head = np.median(subset, axis=0)
-        distinct = len(np.unique(subset, axis=0))
-        if len(idx) < 4 or distinct < 2 or total >= k_max:
+        if len(idx) < 4 or not np.any(subset != subset[0]) or total >= k_max:
             final.append((idx, head))
             continue
         child_labels, child_heads = kmedians(subset, _split_init(subset, rng))

@@ -1,14 +1,21 @@
 import math
 import random
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mudmon.errors import (
-    DegenerateDataError,
     EmptyError,
     InsufficientDataError,
     LayoutMismatchError,
+    MudmonError,
+    ParseError,
+    SchemaError,
 )
 from mudmon.worker import (
     DetectorMode,
@@ -22,6 +29,7 @@ from mudmon.worker import (
 from mudmon.xmeans import bic_score, kmedians, xmeans
 
 from oracles import exhaustive_best_k, rand_index
+from test_mud import JSON, _paths
 
 
 def two_blobs(n=400, seed=0, spread=0.5, centers=((0.0, 0.0), (12.0, 12.0))):
@@ -119,9 +127,15 @@ class TestTrain:
         with pytest.raises(InsufficientDataError):
             train(np.zeros((5, 3)), TrainConfig(min_train_rows=10))
 
-    def test_identical_rows_degenerate(self):
-        with pytest.raises(DegenerateDataError):
-            train(np.ones((100, 3)), TrainConfig.small())
+    def test_quiet_scope_flags_any_change(self):
+        row = np.array([0.0, 3.0, 0.0])
+        model = train(np.tile(row, (100, 1)), TrainConfig.small())
+        assert model.pca is None and model.clusters.radii.tolist() == [0.0]
+        assert not model.predict(row)[0].anomalous
+        for i in range(3):
+            changed = row.copy()
+            changed[i] += 1.0
+            assert model.predict(changed)[0].anomalous
 
     def test_constant_columns_dropped(self):
         rng = np.random.default_rng(0)
@@ -304,3 +318,50 @@ class TestRandIndex:
 
     def test_bounds(self):
         assert 0.0 <= rand_index([0, 1, 0, 1], [1, 1, 0, 0]) <= 1.0
+
+
+MODEL_ROWS = arrays(np.float64, st.tuples(st.integers(8, 60), st.integers(1, 4)),
+                    elements=st.sampled_from([0.0, 1.0, 2.5, -3.0, 10.0]))
+
+
+class TestModelJson:
+    @settings(max_examples=40, deadline=None)
+    @given(MODEL_ROWS, st.sampled_from(list(DetectorMode)), st.booleans())
+    def test_to_json_round_trips_bit_identically(self, x, mode, use_pca):
+        model = train(x, TrainConfig.small(detector_mode=mode, use_pca=use_pca))
+        text = model.to_json()
+        clone = WorkerModel.from_json(text)
+        assert clone.to_json() == text
+        assert (clone.predict_batch(x) == model.predict_batch(x)).all()
+
+    @settings(deadline=None)
+    @given(st.text())
+    def test_arbitrary_text_raises_only_mudmon_errors(self, text):
+        try:
+            WorkerModel.from_json(text)
+        except MudmonError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_document_raises_only_mudmon_errors(self, data):
+        x = two_blobs(n=40)
+        doc = json.loads(train(x, TrainConfig.small()).to_json())
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON)
+        try:
+            WorkerModel.from_json(json.dumps(doc)).predict_batch(x)
+        except MudmonError:
+            pass
+
+    def test_malformed_json_and_wrong_version(self):
+        with pytest.raises(ParseError):
+            WorkerModel.from_json("{")
+        text = train(two_blobs(), TrainConfig.small()).to_json()
+        with pytest.raises(SchemaError):
+            WorkerModel.from_json(text.replace('"version": 1', '"version": 2'))
+        with pytest.raises(SchemaError):
+            WorkerModel.from_json("[]")

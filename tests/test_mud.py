@@ -166,6 +166,13 @@ MALFORMED = {
         "tcp": {"destination-port": {"operator": "eq", "port": True}}, **LOCAL})),
     "icmp_type_string": _profile_with(ace("ping", {
         "ipv4": {"protocol": 1}, "icmp": {"type": "a"}, **LOCAL})),
+    "no_actions": _profile_with({"name": "ping", "matches": {"ipv4": {"protocol": 1}, **LOCAL}}),
+    "actions_string": _profile_with(dict(ace("ping", {"ipv4": {"protocol": 1}, **LOCAL}),
+                                         actions="drop")),
+    "unknown_forwarding": _profile_with(dict(ace("ping", {"ipv4": {"protocol": 1}, **LOCAL}),
+                                             actions={"forwarding": "allow"})),
+    "forwarding_list": _profile_with(dict(ace("ping", {"ipv4": {"protocol": 1}, **LOCAL}),
+                                          actions={"forwarding": ["drop"]})),
 }
 
 JSON_KEYS = st.sampled_from([
@@ -221,6 +228,20 @@ class TestParseFailsClosed:
 
 
 class TestTranslate:
+    @pytest.mark.parametrize("forwarding", ["drop", "reject"])
+    def test_deny_ace_becomes_block_pair(self, forwarding):
+        telnet = {"ipv4": {"protocol": 6},
+                  "tcp": {"destination-port": {"operator": "eq", "port": 23}}, **LOCAL}
+        deny = dict(ace("telnet", telnet), actions={"forwarding": forwarding})
+        profile = parse_profile(make_profile([deny, ace("telnet-ok", telnet)], []))
+        rules = translate(profile, DEV_MAC, GW_MAC, GW_IP)
+        services = {r.flow_id: r.action for r in rules if r.role is RuleRole.SERVICE}
+        # The accept for the same service is not merged into the drop.
+        assert services == {"a.1": Action.BLOCK, "a.2": Action.BLOCK,
+                            "b.1": Action.FORWARD, "b.2": Action.FORWARD}
+        outbound = next(r for r in rules if r.flow_id == "a.1")
+        assert (outbound.match.src_mac, outbound.match.dst_port) == (DEV_MAC, 23)
+
     def test_plug_profile_matches_reference_structure(self):
         profile = parse_profile(tplink_like_profile())
         rules = translate(profile, DEV_MAC, GW_MAC, GW_IP)
