@@ -12,8 +12,9 @@ abstractions, and eth ethertype (ARP / EAPOL). Each ACE's
 Translation emits one bidirectional template pair per distinct service and
 action, plus a fixed baseline: EAPOL, DHCP, DNS (reply mirrored), the two
 Internet default mirror rules, the ARP pair, and the local default mirror
-rule. A drop or reject ACE for a service the baseline covers (ARP, EAPOL,
-DNS with the gateway) adds nothing.
+rule. A drop or reject ACE for a service the baseline covers turns the
+covering baseline rules into blocks: ARP ``h.1``/``h.2``, EAPOL ``c`` and
+DNS with the gateway ``f.1``/``f.2``.
 Flow-ids follow a deterministic convention: the baseline roles own the
 reserved letters c/d/f/g/h/k, and ACE-derived pairs take the remaining
 letters in order (Internet services first, then gateway services, then
@@ -115,8 +116,6 @@ class Ace:
 
 @dataclass(frozen=True)
 class MudProfile:
-    device_type_id: str
-    valid_until: str | None
     aces_from_device: tuple[Ace, ...]
     aces_to_device: tuple[Ace, ...]
 
@@ -384,8 +383,6 @@ def parse_profile(json_text: str) -> MudProfile:
         return out
 
     return MudProfile(
-        device_type_id=mud.get("systeminfo", mud.get("mud-url", "unknown-device")),
-        valid_until=mud.get("last-update"),
         aces_from_device=tuple(collect("from-device-policy", Direction.FROM_DEVICE)),
         aces_to_device=tuple(collect("to-device-policy", Direction.TO_DEVICE)),
     )
@@ -419,15 +416,25 @@ def _service_key(ace: Ace) -> _ServiceKey:
                        remote_port, device_port, ace.icmp_type, ace.icmp_code, ace.action)
 
 
+def _baseline_role(key: _ServiceKey) -> RuleRole | None:
+    """The baseline role whose rules cover a service, if any."""
+    if key.protocol == "arp":
+        return RuleRole.ARP
+    if key.protocol == "eapol":
+        return RuleRole.EAPOL
+    if (key.endpoint_kind is EndpointKind.GATEWAY and key.protocol == PROTO_UDP
+            and key.remote_port == 53):
+        return RuleRole.DNS
+    return None
+
+
 def _pair_kind(key: _ServiceKey) -> str | None:
     """The ``_PAIR_SHAPES`` entry a service takes; None if the baseline covers it."""
-    if key.protocol in ("arp", "eapol"):
-        return None  # baseline roles cover these
+    if _baseline_role(key) is not None:
+        return None
     if key.scope is Scope.INTERNET:
         return "domain" if key.endpoint_kind is EndpointKind.DOMAIN else "ip"
     if key.endpoint_kind is EndpointKind.GATEWAY:
-        if key.protocol == PROTO_UDP and key.remote_port == 53:
-            return None  # folds into the reserved DNS pair
         return "gateway"
     return "local"
 
@@ -470,12 +477,16 @@ def translate(
 
     # Pair from/to ACEs describing the same service; keep first-seen order.
     kinds = {key: _pair_kind(key) for key in map(_service_key, profile.aces)}
+    # A deny of a service the baseline covers blocks the covering rules.
+    blocked = {_baseline_role(key) for key in kinds if key.action is Action.BLOCK}
 
     rules: list[FlowRuleTemplate] = []
     letters = _letter_sequence()
 
     def emit(flow_id: str, group: str, match: MatchSpec, priority: int, action: Action,
              binding: Binding, role: RuleRole, scope: Scope | None) -> None:
+        if role in blocked:
+            action = Action.BLOCK
         rules.append(FlowRuleTemplate(flow_id, match, priority, action, binding,
                                       role, group, scope))
 

@@ -8,11 +8,22 @@ reactive templates. Reactive entries (DNS-bound service rules, stage-3
 microflows) expire on idle timeouts; MUD-derived proactive rules and
 mitigation blocks are permanent.
 
-Each table also indexes its reactive entries by ``(flow_id, match)``. The
-index answers whether a reactive entry is already installed (a repeated DNS
-answer or microflow refreshes it instead of duplicating it), its size is
-the count held against ``tcam_capacity``, and it holds exactly the entries
-that expiry and microflow teardown may remove.
+Each table indexes its reactive entries by a key of strings: ``(flow_id,
+bound IP)`` for a DNS-bound instance and ``(flow_id, None)`` for a
+microflow, whose id already names its 5-tuple. The index answers whether a
+reactive entry is already installed (a repeated DNS answer or microflow
+refreshes it instead of duplicating it), its size is the count held against
+``tcam_capacity``, and it holds exactly the entries that expiry and
+microflow teardown may remove. The switch also maps each domain to the
+(table, template slot) pairs it binds, so a DNS answer visits only the
+templates that name it.
+
+The entries are kept sorted by ``(-priority, seq)``, so the microflow tier
+(``PRIORITY_MICROFLOW``) is one contiguous slice. A lookup scans the few
+entries above it (mitigation blocks), then looks the packet's 5-tuple up in
+a hash of the microflow tier (one probe per wildcard pattern in use, the
+earliest-inserted match winning), then scans the proactive and DNS-bound
+entries below it.
 
 Timestamps are integer microseconds. Counter polling happens on a minutely
 cadence and yields per-flow-id deltas (entries sharing a flow id, e.g. the
@@ -22,7 +33,7 @@ per-IP instances of one reactive rule, are aggregated).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable
 
@@ -154,16 +165,30 @@ class Disposition:
         return self.matches[0].flow_id if self.matches else None
 
 
-_REACTIVE = (Origin.MUD_REACTIVE_DNS, Origin.STAGE3_MICROFLOW)
+def _rank(entry: FlowEntry) -> tuple[int, int]:
+    return -entry.priority, entry.seq
+
+
+def _five_tuple_key(match: MatchSpec) -> tuple[tuple[int, ...], tuple]:
+    """The 5-tuple fields a match leaves open (by position) and their values."""
+    fields = (match.src_ip, match.dst_ip, match.proto, match.src_port, match.dst_port)
+    if None not in fields:
+        return (), fields
+    return tuple(i for i, v in enumerate(fields) if v is None), fields
 
 
 class _DeviceTable:
     """Flow table plus reactive-template registry for one device."""
 
     def __init__(self):
-        self.entries: list[FlowEntry] = []  # kept sorted: (-priority, seq)
-        # Every DNS-bound and microflow entry, by (flow_id, match).
-        self.reactive: dict[tuple[str, MatchSpec], FlowEntry] = {}
+        # Sorted by _rank: blocks above the microflow tier, the tier, the rest.
+        self.entries: list[FlowEntry] = []
+        self.n_above = 0  # entries ranked above the microflow tier
+        self.n_tier = 0  # entries in the microflow tier
+        # The microflow tier by wildcard pattern, then by 5-tuple, in seq order.
+        self.tier: dict[tuple[int, ...], dict[tuple, list[FlowEntry]]] = {}
+        # Every DNS-bound and microflow entry, by (flow_id, bound IP or None).
+        self.reactive: dict[tuple[str, str | None], FlowEntry] = {}
         self.reactive_templates: list[FlowRuleTemplate] = []
         self.miss_packets = 0
         self.miss_bytes = 0
@@ -173,30 +198,68 @@ class _DeviceTable:
         self.residual: dict[str, tuple[int, int]] = {}
         self._seq = 0
 
-    def add_entry(self, entry: FlowEntry) -> None:
+    def add_entry(self, entry: FlowEntry,
+                  reactive_key: tuple[str, str | None] | None = None) -> None:
         entry.seq = self._seq
         self._seq += 1
-        bisect.insort(self.entries, entry, key=lambda e: (-e.priority, e.seq))
-        if entry.origin in _REACTIVE:
-            self.reactive[entry.flow_id, entry.match] = entry
+        bisect.insort(self.entries, entry, key=_rank)
+        if reactive_key is not None:
+            self.reactive[reactive_key] = entry
+        if entry.priority > PRIORITY_MICROFLOW:
+            self.n_above += 1
+        elif entry.priority == PRIORITY_MICROFLOW:
+            wild, fields = _five_tuple_key(entry.match)
+            self.tier.setdefault(wild, {}).setdefault(fields, []).append(entry)
+            self.n_tier += 1
 
     def remove_reactive(self, doomed: Callable[[FlowEntry], bool]) -> list[FlowEntry]:
         """Drop the reactive entries ``doomed`` picks, banking their un-polled deltas."""
-        removed = [e for e in self.reactive.values() if doomed(e)]
-        for entry in removed:
-            del self.reactive[entry.flow_id, entry.match]
+        removed = [(key, e) for key, e in self.reactive.items() if doomed(e)]
+        for key, entry in removed:
+            del self.reactive[key]
             dp = entry.packet_count - entry.polled_packets
             db = entry.byte_count - entry.polled_bytes
             if dp or db:
                 p, b = self.residual.get(entry.flow_id, (0, 0))
                 self.residual[entry.flow_id] = (p + dp, b + db)
+            if entry.priority > PRIORITY_MICROFLOW:
+                self.n_above -= 1
+            elif entry.priority == PRIORITY_MICROFLOW:
+                wild, fields = _five_tuple_key(entry.match)
+                buckets = self.tier[wild]
+                kept = [e for e in buckets[fields] if e is not entry]
+                if kept:
+                    buckets[fields] = kept
+                else:
+                    del buckets[fields]
+                    if not buckets:
+                        del self.tier[wild]
+                self.n_tier -= 1
         if removed:
-            gone = {e.seq for e in removed}
+            gone = {e.seq for _, e in removed}
             self.entries = [e for e in self.entries if e.seq not in gone]
-        return removed
+        return [e for _, e in removed]
 
     def lookup(self, pkt: PacketRecord) -> FlowEntry | None:
-        for entry in self.entries:
+        entries = self.entries
+        above, tier = self.n_above, self.n_tier
+        if above:
+            for entry in entries[:above]:
+                if entry.match.matches(pkt):
+                    return entry
+        if tier:
+            best = None
+            five = (pkt.src_ip, pkt.dst_ip, pkt.proto, pkt.src_port, pkt.dst_port)
+            for wild, buckets in self.tier.items():
+                key = tuple(None if i in wild else v for i, v in enumerate(five)) if wild else five
+                for entry in buckets.get(key, ()):
+                    if entry.match.matches(pkt):
+                        if best is None or entry.seq < best.seq:
+                            best = entry
+                        break
+            if best is not None:
+                return best
+        for entry in entries[above + tier:] if above or tier else entries:
             if entry.match.matches(pkt):
                 return entry
         return None
@@ -218,6 +281,9 @@ class SwitchSim:
         self.tables: dict[str, _DeviceTable] = {}
         self.mac_to_device: dict[str, str] = {}
         self.dns_cache: dict[str, set[str]] = {}
+        # Domain -> (table, slot in its reactive_templates) of each template
+        # naming it. A slot, not the template: set_flow_action swaps templates.
+        self._domain_slots: dict[str, list[tuple[_DeviceTable, int]]] = {}
         self.on_mirror: list[Callable[[str, str, PacketRecord], None]] = []
         self.dropped_packets = 0
         self.total_packets = 0
@@ -229,8 +295,15 @@ class SwitchSim:
                         templates: Iterable[FlowRuleTemplate]) -> None:
         mac = mac.lower()
         table = _DeviceTable()
+        if (old := self.tables.get(device_id)) is not None:
+            for refs in self._domain_slots.values():
+                refs[:] = [ref for ref in refs if ref[0] is not old]
         for tpl in templates:
             if tpl.binding is Binding.REACTIVE_DNS:
+                domain = tpl.match.src_domain or tpl.match.dst_domain
+                if domain is not None:
+                    self._domain_slots.setdefault(domain, []).append(
+                        (table, len(table.reactive_templates)))
                 table.reactive_templates.append(tpl)
             else:
                 table.add_entry(FlowEntry(
@@ -295,29 +368,22 @@ class SwitchSim:
         ips = list(ips)
         self.dns_cache.setdefault(domain, set()).update(ips)
         inserted: list[FlowEntry] = []
-        for table in self.tables.values():
-            for tpl in table.reactive_templates:
-                tpl_domain = tpl.match.src_domain or tpl.match.dst_domain
-                if tpl_domain != domain:
+        for table, slot in self._domain_slots.get(domain, ()):
+            tpl = table.reactive_templates[slot]
+            bind = "src" if tpl.match.src_domain else "dst"
+            for ip in ips:
+                live = table.reactive.get((tpl.flow_id, ip))
+                if live is not None:
+                    live.last_hit = now
                     continue
-                for ip in ips:
-                    if tpl.match.src_domain:
-                        concrete = MatchSpec(**{**tpl.match.__dict__,
-                                                "src_ip": ip, "src_domain": None})
-                    else:
-                        concrete = MatchSpec(**{**tpl.match.__dict__,
-                                                "dst_ip": ip, "dst_domain": None})
-                    live = table.reactive.get((tpl.flow_id, concrete))
-                    if live is not None:
-                        live.last_hit = now
-                        continue
-                    entry = FlowEntry(
-                        flow_id=tpl.flow_id, match=concrete, priority=tpl.priority,
-                        action=tpl.action, origin=Origin.MUD_REACTIVE_DNS,
-                        idle_timeout_sec=self.reactive_idle_sec,
-                        last_hit=now)
-                    table.add_entry(entry)
-                    inserted.append(entry)
+                entry = FlowEntry(
+                    flow_id=tpl.flow_id,
+                    match=replace(tpl.match, **{f"{bind}_ip": ip, f"{bind}_domain": None}),
+                    priority=tpl.priority, action=tpl.action,
+                    origin=Origin.MUD_REACTIVE_DNS,
+                    idle_timeout_sec=self.reactive_idle_sec, last_hit=now)
+                table.add_entry(entry, (tpl.flow_id, ip))
+                inserted.append(entry)
         return inserted
 
     def insert_microflow(self, device_id: str, five_tuple: FiveTuple,
@@ -329,22 +395,22 @@ class SwitchSim:
         """
         table = self.tables[device_id]
         flow_id = f"{parent_flow_id}~{five_tuple}"
-        match = MatchSpec(
-            eth_type=0x0800, src_ip=five_tuple.src_ip, dst_ip=five_tuple.dst_ip,
-            proto=five_tuple.proto, src_port=five_tuple.src_port,
-            dst_port=five_tuple.dst_port)
-        live = table.reactive.get((flow_id, match))
+        live = table.reactive.get((flow_id, None))
         if live is not None:
             live.last_hit = now
             return live
         if len(table.reactive) >= self.tcam_capacity:
             raise TableFullError(
                 f"{device_id}: reactive capacity {self.tcam_capacity} reached")
+        match = MatchSpec(
+            eth_type=0x0800, src_ip=five_tuple.src_ip, dst_ip=five_tuple.dst_ip,
+            proto=five_tuple.proto, src_port=five_tuple.src_port,
+            dst_port=five_tuple.dst_port)
         entry = FlowEntry(
             flow_id=flow_id, match=match, priority=PRIORITY_MICROFLOW,
             action=Action.FORWARD, origin=Origin.STAGE3_MICROFLOW,
             idle_timeout_sec=self.microflow_idle_sec, last_hit=now)
-        table.add_entry(entry)
+        table.add_entry(entry, (flow_id, None))
         return entry
 
     def insert_block(self, device_id: str, match: MatchSpec, label: str,

@@ -1,8 +1,9 @@
 """Reference oracles and synthetic fixtures used only by the tests.
 
 ``exhaustive_best_k`` is an independent check on the recursive X-means
-splitter, ``rand_index`` compares two labelings, and
-``make_unit_datasets`` builds a synthetic fleet for the strategy tests.
+splitter, ``rand_index`` compares two labelings, ``linear_lookup`` is the
+flow-table classifier by definition, and ``make_unit_datasets`` builds a
+synthetic fleet for the strategy tests.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def rand_index(assignment_a: Sequence, assignment_b: Sequence) -> float:
     a_same = sum(comb(c, 2) for c in a_sizes.values())
     b_same = sum(comb(c, 2) for c in b_sizes.values())
     return (pairs + 2 * both_same - a_same - b_same) / pairs
+
+
+def linear_lookup(entries: Sequence, pkt):
+    """The entry a packet hits: highest priority first, first-inserted on ties.
+
+    A full scan in ``(-priority, seq)`` order, independent of how the switch
+    indexes its tables; None on a miss.
+    """
+    for entry in sorted(entries, key=lambda e: (-e.priority, e.seq)):
+        if entry.match.matches(pkt):
+            return entry
+    return None
 
 
 def make_unit_datasets(

@@ -242,6 +242,22 @@ class TestTranslate:
         outbound = next(r for r in rules if r.flow_id == "a.1")
         assert (outbound.match.src_mac, outbound.match.dst_port) == (DEV_MAC, 23)
 
+    @pytest.mark.parametrize("matches, covering", [
+        ({"ipv4": {"protocol": 17}, "udp": {"destination-port": {"operator": "eq", "port": 53}},
+          "ietf-mud:mud": {"controller": "urn:ietf:params:mud:gateway"}}, {"f.1", "f.2"}),
+        ({"eth": {"ethertype": "0x0806"}}, {"h.1", "h.2"}),
+        ({"eth": {"ethertype": "0x888e"}}, {"c"}),
+    ], ids=["dns", "arp", "eapol"])
+    def test_deny_of_a_baseline_service_blocks_its_rules(self, matches, covering):
+        deny = dict(ace("deny", matches), actions={"forwarding": "drop"})
+        accepted = translate(parse_profile(make_profile([ace("ok", matches)], [])),
+                             DEV_MAC, GW_MAC, GW_IP)
+        denied = translate(parse_profile(make_profile([deny], [])), DEV_MAC, GW_MAC, GW_IP)
+        assert [r.flow_id for r in denied] == [r.flow_id for r in accepted]
+        for ok, rule in zip(accepted, denied):
+            assert rule.action is (Action.BLOCK if rule.flow_id in covering else ok.action)
+            assert ok.action is not Action.BLOCK
+
     def test_plug_profile_matches_reference_structure(self):
         profile = parse_profile(tplink_like_profile())
         rules = translate(profile, DEV_MAC, GW_MAC, GW_IP)

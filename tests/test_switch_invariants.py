@@ -1,23 +1,31 @@
 """Switch invariants beyond the worked examples of ``test_switch``.
 
 The property test draws every public switch operation at random, with time
-moving forward. After each step the flow tables stay sorted and hold no
-duplicate reactive entry; a microflow insert is refused exactly when it is
-new and the DNS-bound plus microflow entries already fill the table; and at
-the end the polled counters add up to every packet (and byte) the tables
-saw, across expiry, microflow teardown and blocks.
+moving forward. Every packet's disposition is the one the linear-scan
+oracle picks, entry for entry; the tables it runs over hold microflows of
+one 5-tuple under two parents, ICMP and port-wildcard microflows, blocks
+that overlap microflows, and expiry and teardown between packets. After
+each step the flow tables stay sorted and hold no duplicate reactive entry;
+a microflow insert is refused exactly when it is new and the DNS-bound plus
+microflow entries already fill the table; and at the end the polled
+counters add up to every packet (and byte) the tables saw, across expiry,
+microflow teardown and blocks.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudmon.errors import TableFullError
-from mudmon.mud import MatchSpec, parse_profile, translate
-from mudmon.switch import DnsAnswer, FiveTuple, Origin, PacketRecord, SwitchSim, US_PER_SEC
+from mudmon.mud import Action, MatchSpec, parse_profile, translate
+from mudmon.switch import (
+    DnsAnswer, FiveTuple, MISS_FLOW_ID, MatchResult, Origin, PacketRecord, SwitchSim,
+    US_PER_SEC)
 
+from oracles import linear_lookup
 from test_mud import DEV_MAC, GW_IP, GW_MAC, LOCAL, ace, make_profile, tplink_like_profile
 from test_switch import APP_IP, APP_MAC, DEV_IP, tcp_pkt
 
@@ -52,23 +60,47 @@ LENGTHS = st.integers(60, 1500)
 
 @st.composite
 def packets(draw, ts):
-    kind = draw(st.sampled_from(["to_app", "from_app", "cloud", "dns", "miss"]))
+    kind = draw(st.sampled_from(["to_app", "from_app", "cloud", "dns", "ping", "eapol",
+                                 "miss"]))
     length = draw(LENGTHS)
     if kind == "to_app":
         return tcp(ts, draw(LOCAL_HOSTS), DEV, draw(SPORTS), 9999, length)
     if kind == "from_app":
         return tcp(ts, DEV, draw(LOCAL_HOSTS), 9999, draw(SPORTS), length)
     if kind == "cloud":
-        return tcp(ts, DEV, (GW_MAC, draw(st.sampled_from(CLOUD_IPS))), 40000, 50443, length)
+        cloud = (GW_MAC, draw(st.sampled_from(CLOUD_IPS)))
+        if draw(st.booleans()):
+            return tcp(ts, cloud, DEV, 50443, 40000, length)
+        return tcp(ts, DEV, cloud, 40000, 50443, length)
+    if kind == "eapol":
+        return PacketRecord(ts=ts, src_mac=DEV_MAC, dst_mac="01:80:c2:00:00:03",
+                            eth_type=0x888E, length=length)
     if kind == "dns":
         ips = tuple(draw(st.lists(st.sampled_from(CLOUD_IPS), min_size=1, max_size=2)))
         return PacketRecord(ts=ts, src_mac=GW_MAC, dst_mac=DEV_MAC, eth_type=0x0800,
                             length=length, src_ip=GW_IP, dst_ip=DEV_IP, proto=17,
                             src_port=53, dst_port=5353,
                             payload_hint=DnsAnswer(draw(st.sampled_from(DOMAINS)), ips))
+    if kind == "ping":  # ICMP carries no ports
+        mac, ip = draw(LOCAL_HOSTS)
+        return PacketRecord(ts=ts, src_mac=mac, dst_mac=DEV_MAC, eth_type=0x0800,
+                            length=length, src_ip=ip, dst_ip=DEV_IP, proto=1,
+                            icmp_type=8, icmp_code=0)
     return PacketRecord(ts=ts, src_mac=DEV_MAC, dst_mac=APP_MAC, eth_type=0x0800,
                         length=length, src_ip=DEV_IP, dst_ip=APP_IP, proto=17,
                         src_port=5, dst_port=6)
+
+
+def expected_devices(sw, pkt):
+    """The registered devices a packet touches, source first."""
+    return list(dict.fromkeys(sw.mac_to_device[mac] for mac in (pkt.src_mac, pkt.dst_mac)
+                              if mac in sw.mac_to_device))
+
+
+def expected_matches(sw, pkt):
+    """The oracle's hit per looked-up table, in the order the switch reports them."""
+    return [(device_id, linear_lookup(sw.tables[device_id].entries, pkt))
+            for device_id in expected_devices(sw, pkt)]
 
 
 def check_tables(sw):
@@ -79,16 +111,22 @@ def check_tables(sw):
         assert len(reactive) == len(set(reactive))
 
 
-OPS = ["packet"] * 4 + ["dns", "microflow", "microflow", "block", "expire", "remove", "poll"]
+OPS = ["packet"] * 5 + ["dns", "microflow", "microflow", "block", "expire", "remove", "poll"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_random_operations_conserve_counters_and_refuse_at_capacity(data):
     sw = make_switch()
     seen = Counter()  # (device_id, "packets"|"bytes") -> total the tables saw
     polled = Counter()
     now, minute = 0, 0
+    recent = []  # packets microflows were cut from, so later packets hit them
+
+    def draw_packet():
+        if recent and data.draw(st.booleans()):
+            return replace(data.draw(st.sampled_from(recent)), ts=now)
+        return data.draw(packets(now))
 
     def poll():
         nonlocal minute
@@ -101,31 +139,52 @@ def test_random_operations_conserve_counters_and_refuse_at_capacity(data):
         now += data.draw(st.integers(0, 4 * US_PER_SEC))
         device_id = data.draw(st.sampled_from(["plug", "peer"]))
         if op == "packet":
-            pkt = data.draw(packets(now))
-            for match in sw.process_packet(pkt).matches:
+            pkt = draw_packet()
+            expected = expected_matches(sw, pkt)
+            hits = [(entry, entry.packet_count) for _, entry in expected if entry is not None]
+            disp = sw.process_packet(pkt)
+            assert disp.matches == tuple(
+                MatchResult(device_id, MISS_FLOW_ID, Action.FORWARD) if entry is None
+                else MatchResult(device_id, entry.flow_id, entry.action)
+                for device_id, entry in expected)
+            assert all(entry.packet_count == before + 1 for entry, before in hits)
+            for match in disp.matches:
                 seen[match.device_id, "packets"] += 1
                 seen[match.device_id, "bytes"] += pkt.length
         elif op == "dns":
             ips = data.draw(st.lists(st.sampled_from(CLOUD_IPS), min_size=1, max_size=2))
             sw.handle_dns_answer(data.draw(st.sampled_from(DOMAINS)), ips, now)
         elif op == "microflow":
-            pkt = data.draw(packets(now))
-            parent = data.draw(st.sampled_from(PARENTS))
+            recent.append(pkt := data.draw(packets(now)))
+            # The table of a device the packet touches, as when its rule mirrored it.
+            device_id = data.draw(st.sampled_from(expected_devices(sw, pkt)))
             five_tuple = FiveTuple.of(pkt)
-            table = sw.tables[device_id]
-            live = [e for e in table.entries if e.origin is Origin.STAGE3_MICROFLOW
-                    and e.flow_id == f"{parent}~{five_tuple}"]
-            reactive = sum(e.origin in REACTIVE for e in table.entries)
-            if not live and reactive >= CAPACITY:
-                with pytest.raises(TableFullError):
-                    sw.insert_microflow(device_id, five_tuple, parent, now)
-            else:
-                entry = sw.insert_microflow(device_id, five_tuple, parent, now)
-                assert entry.last_hit == now
-                assert not live or entry is live[0]
+            if data.draw(st.booleans()):  # a microflow that leaves the ports open
+                five_tuple = FiveTuple(five_tuple.src_ip, five_tuple.dst_ip,
+                                       five_tuple.proto, None, None)
+            # Often one 5-tuple under two parents, as when two services mirror it.
+            for parent in data.draw(st.lists(st.sampled_from(PARENTS), min_size=1,
+                                             max_size=2, unique=True)):
+                table = sw.tables[device_id]
+                live = [e for e in table.entries if e.origin is Origin.STAGE3_MICROFLOW
+                        and e.flow_id == f"{parent}~{five_tuple}"]
+                reactive = sum(e.origin in REACTIVE for e in table.entries)
+                if not live and reactive >= CAPACITY:
+                    with pytest.raises(TableFullError):
+                        sw.insert_microflow(device_id, five_tuple, parent, now)
+                else:
+                    entry = sw.insert_microflow(device_id, five_tuple, parent, now)
+                    assert entry.last_hit == now
+                    assert not live or entry is live[0]
         elif op == "block":
-            host = data.draw(st.sampled_from([APP_IP, PEER_IP, *CLOUD_IPS]))
-            sw.insert_block(device_id, MatchSpec(eth_type=0x0800, src_ip=host), host, now)
+            if data.draw(st.booleans()):
+                host = data.draw(st.sampled_from([APP_IP, PEER_IP, *CLOUD_IPS]))
+                sw.insert_block(device_id, MatchSpec(eth_type=0x0800, src_ip=host), host, now)
+            else:  # one 5-tuple, as stage 3 blocks an anomalous microflow
+                ft = FiveTuple.of(draw_packet())
+                sw.insert_block(device_id, MatchSpec(
+                    eth_type=0x0800, src_ip=ft.src_ip, dst_ip=ft.dst_ip, proto=ft.proto,
+                    src_port=ft.src_port, dst_port=ft.dst_port), str(ft), now)
         elif op == "expire":
             sw.expire_idle(now)
         elif op == "remove":
@@ -141,6 +200,22 @@ def test_random_operations_conserve_counters_and_refuse_at_capacity(data):
 
     poll()
     assert polled == seen
+
+
+def test_first_inserted_microflow_wins_a_shared_5_tuple():
+    sw = make_switch()
+    ft = FiveTuple(APP_IP, DEV_IP, 6, 50000, 9999)
+    first = sw.insert_microflow("plug", ft, "i.2", 0)
+    sw.insert_microflow("plug", ft, "b.2", 0)
+    sw.insert_microflow("plug", FiveTuple(APP_IP, DEV_IP, 6, None, None), "i.1", 0)
+    disp = sw.process_packet(tcp(1, APP, DEV, 50000, 9999, 90))
+    assert disp.matched_flow_id == first.flow_id
+    sw.remove_microflows("plug", {"i.2"})
+    disp = sw.process_packet(tcp(2, APP, DEV, 50000, 9999, 90))
+    assert disp.matched_flow_id == f"b.2~{ft}"
+    sw.remove_microflows("plug", {"b.2"})
+    disp = sw.process_packet(tcp(3, APP, DEV, 50001, 9999, 90))
+    assert disp.matched_flow_id == f"i.1~{APP_IP}:>{DEV_IP}:/6"  # ports left open
 
 
 def test_upper_case_packet_macs_hit_the_device_rules():
@@ -162,3 +237,26 @@ def test_drop_ace_blocks_the_service():
     disp = sw.process_packet(tcp(1, DEV, APP, 40000, 23, 90))
     assert disp.matched_flow_id == "a.1" and not disp.forwarded
     assert sw.process_packet(tcp(2, DEV, APP, 40000, 24, 90)).forwarded
+
+
+def test_dns_and_arp_drops_block_the_baseline_rules():
+    dns = {"ipv4": {"protocol": 17}, "udp": {"destination-port": {"operator": "eq", "port": 53}},
+           "ietf-mud:mud": {"controller": "urn:ietf:params:mud:gateway"}}
+    arp = {"eth": {"ethertype": "0x0806"}}
+    denies = [dict(ace(name, m), actions={"forwarding": "drop"})
+              for name, m in (("dns", dns), ("arp", arp))]
+    rules = translate(parse_profile(make_profile(denies, [])), DEV_MAC, GW_MAC, GW_IP)
+    sw = SwitchSim()
+    sw.register_device("plug", DEV_MAC, rules)
+    mirrored = []
+    sw.on_mirror.append(lambda *hit: mirrored.append(hit))
+    reply = PacketRecord(ts=1, src_mac=GW_MAC, dst_mac=DEV_MAC, eth_type=0x0800, length=120,
+                         src_ip=GW_IP, dst_ip=DEV_IP, proto=17, src_port=53, dst_port=5353,
+                         payload_hint=DnsAnswer("cloud.plug.example", ("93.184.216.34",)))
+    disp = sw.process_packet(reply)
+    assert disp.matched_flow_id == "f.2" and not disp.forwarded
+    assert mirrored == [] and sw.dns_cache == {}  # a dropped reply binds nothing
+    who_has = PacketRecord(ts=2, src_mac=DEV_MAC, dst_mac="ff:ff:ff:ff:ff:ff",
+                           eth_type=0x0806, length=60)
+    disp = sw.process_packet(who_has)
+    assert disp.matched_flow_id == "h.2" and not disp.forwarded
