@@ -152,10 +152,11 @@ class VolumetricExtractor:
             raise OrderError(
                 f"{self.device_id}: minute {ts_min} after {self._last_min}")
 
-        # Fill skipped minutes with zeros so windows stay aligned.
-        if self._last_min is not None:
-            for _ in range(ts_min - self._last_min - 1):
-                self._push_minute({})
+        # Fill skipped minutes with zeros so windows and warm-up stay aligned;
+        # W zero minutes already clear every window.
+        gap = 0 if self._last_min is None else ts_min - self._last_min - 1
+        for _ in range(min(gap, self.layout.max_window_min)):
+            self._push_minute({})
         per_rule: dict[str, tuple[int, int]] = {}
         for rec in records:
             if rec.device_id != self.device_id:
@@ -169,7 +170,7 @@ class VolumetricExtractor:
                 self.unknown_rows += 1
         self._push_minute(per_rule)
         self._last_min = ts_min
-        self._minutes_seen += 1
+        self._minutes_seen += gap + 1
         return self._emit(ts_min)
 
     def _push_minute(self, per_rule: Mapping[str, tuple[int, int]]) -> None:

@@ -21,6 +21,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import EmptyError
 from .worker import TrainConfig, WorkerModel, train
 
 
@@ -66,7 +67,7 @@ def train_strategy(
     randomized steps (unit choice, cluster init) derive from ``seed``.
     """
     if not unit_sets:
-        raise ValueError("need at least one unit")
+        raise EmptyError("need at least one unit")
     cfg = cfg or TrainConfig()
     rng = np.random.default_rng(seed)
 

@@ -10,8 +10,11 @@ observations whose cluster transition was never seen in the time-ordered
 training sequence. ``TrainConfig`` sets only the minimum training rows, the
 detector mode and whether PCA runs.
 
-Prediction is pure: ``predict(vector, prev_state)`` returns a verdict and
-the next stream state, advancing state only on in-boundary observations.
+``ClusterModel.score`` is the one boundary rule: nearest head, outside when
+the distance exceeds its radius or is NaN (fails closed). ``predict``,
+``predict_batch`` and the machine fit all use it. ``predict(vector,
+prev_state)`` is pure: it returns a verdict and the next stream state,
+advancing state only on in-boundary observations.
 Dispersion workers reuse the same machinery on raw 4-epoch entropy windows,
 skipping PCA and keeping constant features (centered, unit scale) so an
 always-quiet header trains to a zero-radius cluster at the origin. A
@@ -32,7 +35,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import (
-    EmptyError,
     InsufficientDataError,
     LayoutMismatchError,
     ParseError,
@@ -45,29 +47,11 @@ BOUNDARY_PERCENTILE = 97.5
 MAX_CLUSTERS = 64
 
 
-def percentile_boundary(distances: Sequence[float], p: float = BOUNDARY_PERCENTILE) -> float:
-    """Linear-interpolation percentile of the given distances.
-
-    Sorted-order interpolation on fractional rank h = (n-1) * p / 100, the
-    common default definition, continuous in the data.
-    """
-    if len(distances) == 0:
-        raise EmptyError("percentile of an empty sample")
-    if not 0.0 < p < 100.0:
-        raise ValueError("percentile must be inside (0, 100)")
-    xs = np.sort(np.asarray(distances, dtype=float))
-    h = (len(xs) - 1) * p / 100.0
-    lo = int(np.floor(h))
-    hi = min(lo + 1, len(xs) - 1)
-    return float(xs[lo] + (h - lo) * (xs[hi] - xs[lo]))
-
-
 @dataclass(frozen=True)
 class NormalizationStats:
     mean: np.ndarray
     std: np.ndarray
     kept: np.ndarray  # indices of retained input features
-    n_features_in: int
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x[..., self.kept] - self.mean) / self.std
@@ -90,15 +74,20 @@ class PcaBasis:
         return z @ self.components.T
 
 
+_BOUNDARY_SLACK = 1e-9  # keeps the centroid itself inside a zero radius
+
+
 @dataclass(frozen=True)
 class ClusterModel:
     heads: np.ndarray  # (k, m)
     radii: np.ndarray  # (k,)
 
-    def assign(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = cdist(np.atleast_2d(points), self.heads, metric="cityblock")
-        labels = np.argmin(d, axis=1)
-        return labels, d[np.arange(len(labels)), labels]
+    def score(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row of a 2-D array: nearest head, L1 distance, outside mask."""
+        d = cdist(points, self.heads, metric="cityblock")
+        labels = d.argmin(axis=1)
+        dists = d[np.arange(len(labels)), labels]
+        return labels, dists, ~(dists <= self.radii[labels] + _BOUNDARY_SLACK)
 
 
 @dataclass(frozen=True)
@@ -142,18 +131,13 @@ class TrainConfig:
         return dataclasses.replace(TrainConfig(min_train_rows=8), **overrides)
 
 
-_BOUNDARY_SLACK = 1e-9  # keeps the centroid itself inside a zero radius
-
-
 @dataclass
 class WorkerModel:
     norm: NormalizationStats
     pca: PcaBasis | None
     clusters: ClusterModel
     machine: TransitionMachine | None
-    detector_mode: DetectorMode
     n_features_in: int
-    trained_rows: int
 
     # -- scoring ----------------------------------------------------------
 
@@ -168,41 +152,33 @@ class WorkerModel:
         if x.shape != (self.n_features_in,):
             raise LayoutMismatchError(
                 f"expected {self.n_features_in} features, got {x.shape}")
-        point = self._embed(x)
-        labels, dists = self.clusters.assign(point)
+        labels, dists, outside = self.clusters.score(self._embed(x)[None])
         cluster = int(labels[0])
         distance = float(dists[0])
-        if not distance <= float(self.clusters.radii[cluster]) + _BOUNDARY_SLACK:
+        if outside[0]:
             return Verdict(True, Reason.OUTSIDE_BOUNDARY, cluster, distance), prev_state
-        if (self.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE
-                and self.machine is not None
-                and not self.machine.permits(prev_state, cluster)):
+        if self.machine is not None and not self.machine.permits(prev_state, cluster):
             return Verdict(True, Reason.ILLEGAL_TRANSITION, cluster, distance), cluster
         return Verdict(False, Reason.NONE, cluster, distance), cluster
 
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Boundary-only anomaly mask for a matrix of observations."""
         x = np.asarray(matrix, dtype=float)
-        if x.shape[1] != self.n_features_in:
+        if x.ndim != 2 or x.shape[1] != self.n_features_in:
             raise LayoutMismatchError(
-                f"expected {self.n_features_in} features, got {x.shape[1]}")
-        points = self._embed(x)
-        labels, dists = self.clusters.assign(points)
-        return ~(dists <= self.clusters.radii[labels] + _BOUNDARY_SLACK)
+                f"expected rows of {self.n_features_in} features, got shape {x.shape}")
+        return self.clusters.score(self._embed(x))[2]
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
         doc = {
             "version": MODEL_FORMAT_VERSION,
-            "detector_mode": self.detector_mode.value,
             "n_features_in": self.n_features_in,
-            "trained_rows": self.trained_rows,
             "norm": {
                 "mean": self.norm.mean.tolist(),
                 "std": self.norm.std.tolist(),
                 "kept": self.norm.kept.tolist(),
-                "n_features_in": self.norm.n_features_in,
             },
             "pca": None if self.pca is None else {
                 "components": self.pca.components.tolist(),
@@ -223,7 +199,10 @@ class WorkerModel:
         """Load a ``to_json`` document.
 
         Raises ParseError for malformed JSON and SchemaError for another
-        version or a document whose fields or array shapes do not fit.
+        version, a non-finite number, or a document whose fields or array
+        shapes do not fit. Keys this format no longer writes
+        (``detector_mode``, ``trained_rows``, ``norm.n_features_in``) are
+        ignored.
         """
         try:
             doc = json.loads(text)
@@ -235,8 +214,7 @@ class WorkerModel:
             norm = NormalizationStats(
                 mean=np.array(doc["norm"]["mean"], dtype=float),
                 std=np.array(doc["norm"]["std"], dtype=float),
-                kept=np.array(doc["norm"]["kept"], dtype=int),
-                n_features_in=doc["norm"]["n_features_in"])
+                kept=np.array(doc["norm"]["kept"], dtype=int))
             pca = None
             if doc["pca"] is not None:
                 pca = PcaBasis(
@@ -252,12 +230,12 @@ class WorkerModel:
                     frozenset((int(a), int(b)) for a, b in doc["transitions"]))
             model = WorkerModel(
                 norm=norm, pca=pca, clusters=clusters, machine=machine,
-                detector_mode=DetectorMode(doc["detector_mode"]),
-                n_features_in=doc["n_features_in"],
-                trained_rows=doc["trained_rows"])
+                n_features_in=doc["n_features_in"])
             width = len(norm.kept) if pca is None else pca.retained
+            floats = [norm.mean, norm.std, clusters.heads, clusters.radii] + (
+                [] if pca is None else [pca.components, pca.eigenvalues])
             fits = (isinstance(model.n_features_in, int) and isinstance(width, int)
-                    and norm.n_features_in == model.n_features_in
+                    and all(np.isfinite(a).all() for a in floats)
                     and norm.kept.ndim == 1
                     and norm.mean.shape == norm.std.shape == norm.kept.shape
                     and np.all(norm.std > 0.0)
@@ -277,10 +255,10 @@ def _fit_norm(matrix: np.ndarray, drop_constant: bool) -> NormalizationStats:
     std = matrix.std(axis=0)
     if drop_constant:
         kept = np.flatnonzero(std > 0.0)
-        return NormalizationStats(mean[kept], std[kept], kept, matrix.shape[1])
+        return NormalizationStats(mean[kept], std[kept], kept)
     kept = np.arange(matrix.shape[1])
     safe_std = np.where(std > 0.0, std, 1.0)
-    return NormalizationStats(mean, safe_std, kept, matrix.shape[1])
+    return NormalizationStats(mean, safe_std, kept)
 
 
 def _fit_pca(z: np.ndarray) -> PcaBasis:
@@ -303,39 +281,39 @@ def _fit_boundaries(points: np.ndarray, labels: np.ndarray, heads: np.ndarray) -
     radii = np.zeros(heads.shape[0])
     for j in range(heads.shape[0]):
         member = own[labels == j]
-        radii[j] = percentile_boundary(member) if len(member) else 0.0
+        if len(member):
+            radii[j] = np.percentile(member, BOUNDARY_PERCENTILE, method="linear")
     return radii
 
 
-def _fit_machine(points: np.ndarray, labels: np.ndarray,
-                 clusters: ClusterModel) -> TransitionMachine:
+def _fit_machine(points: np.ndarray, clusters: ClusterModel) -> TransitionMachine:
     """First-order transitions from the time-ordered training sequence.
 
-    Stream state only advances on in-boundary points, matching how state is
-    advanced at prediction time.
+    Stream state only advances on in-boundary points and takes the cluster
+    ``predict`` assigns, so replaying the training rows is always legal.
     """
-    _, dists = clusters.assign(points)
-    allowed: set[tuple[int, int]] = set()
-    prev: int | None = None
-    for lab, dist in zip(labels, dists):
-        if dist > float(clusters.radii[lab]) + _BOUNDARY_SLACK:
-            continue
-        if prev is not None:
-            allowed.add((prev, int(lab)))
-        prev = int(lab)
-    return TransitionMachine(frozenset(allowed))
+    labels, _, outside = clusters.score(points)
+    states = labels[~outside].tolist()
+    return TransitionMachine(frozenset(zip(states, states[1:])))
 
 
-def _fit(x: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool) -> WorkerModel:
+def _fit(matrix: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool,
+         width: int | None = None) -> WorkerModel:
     """Fit shared by both workers.
 
     ``reduce`` drops constant features and runs PCA if ``cfg.use_pca``;
     without it, or when no feature varies, constant features stay at unit
-    scale and PCA is skipped.
+    scale and PCA is skipped. ``width``, if given, is the required number
+    of columns.
     """
-    if len(x) < cfg.min_train_rows:
-        raise InsufficientDataError(
-            f"{len(x)} rows < required {cfg.min_train_rows}")
+    x = np.asarray(matrix, dtype=float)
+    if x.ndim != 2 or x.shape[1] == 0 or width not in (None, x.shape[1]):
+        raise LayoutMismatchError(f"training rows of shape {x.shape} do not fit")
+    if not np.isfinite(x).all():
+        raise SchemaError("training matrix holds a NaN or infinite value")
+    need = max(cfg.min_train_rows, 1)
+    if len(x) < need:
+        raise InsufficientDataError(f"{len(x)} rows < required {need}")
     reduce = reduce and bool(np.any(x.std(axis=0) > 0.0))
 
     norm = _fit_norm(x, drop_constant=reduce)
@@ -347,20 +325,15 @@ def _fit(x: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool) -> WorkerMode
     clusters = ClusterModel(result.heads, radii)
     machine = None
     if cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE:
-        machine = _fit_machine(points, result.labels, clusters)
-    return WorkerModel(
-        norm=norm, pca=pca, clusters=clusters, machine=machine,
-        detector_mode=cfg.detector_mode, n_features_in=x.shape[1],
-        trained_rows=len(x))
+        machine = _fit_machine(points, clusters)
+    return WorkerModel(norm=norm, pca=pca, clusters=clusters, machine=machine,
+                       n_features_in=x.shape[1])
 
 
 def train(matrix: np.ndarray, cfg: TrainConfig | None = None, seed: int = 0
           ) -> WorkerModel:
     """Fit a volumetric worker on a time-ordered matrix of benign rows."""
-    x = np.asarray(matrix, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("training matrix must be 2-D")
-    return _fit(x, cfg or TrainConfig(), seed, reduce=True)
+    return _fit(matrix, cfg or TrainConfig(), seed, reduce=True)
 
 
 def train_dispersion(matrix: np.ndarray, cfg: TrainConfig | None = None,
@@ -371,7 +344,4 @@ def train_dispersion(matrix: np.ndarray, cfg: TrainConfig | None = None,
     whose benign entropy is always zero must train to a zero-radius cluster
     so any positive entropy window is flagged.
     """
-    x = np.asarray(matrix, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 4:
-        raise ValueError("dispersion training expects 4-epoch windows")
-    return _fit(x, cfg or TrainConfig.small(), seed, reduce=False)
+    return _fit(matrix, cfg or TrainConfig.small(), seed, reduce=False, width=4)

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudmon.errors import EmptyError, OrderError
 from mudmon.features import (
@@ -162,6 +164,18 @@ class TestVolumetric:
         v = next(v for v in out if str(v.scope) == "service:i")
         assert v.values[0] == 4.0 and v.values[2] == 4.0  # 2-min total: 0 + 4
 
+    def test_long_gap_costs_one_window(self):
+        # Zero-filling stops once every window is zeros, so a gap of 10^12
+        # minutes returns at once, with the vectors a gap of W + 1 gives.
+        layout = FeatureLayout(FeatureSet.FS3, 4)
+
+        def after_gap(t):
+            ext = VolumetricExtractor("plug", plug_rules(), layout)
+            ext.add_minute(0, [self.rec(0, "i.1", 8, 800)])
+            return [v.values for v in ext.add_minute(t, [self.rec(t, "i.1", 4, 400)])]
+
+        assert after_gap(10**12) == after_gap(5) != []
+
     def test_out_of_order_raises(self):
         ext = VolumetricExtractor("plug", plug_rules(), FeatureLayout(FeatureSet.FS3, 4))
         ext.add_minute(5, [])
@@ -175,6 +189,56 @@ class TestVolumetric:
         assert len(micro) == 1
         assert micro[0].values[0] == 600.0
         assert micro[0].values[6] == 600.0  # zero backfill before birth
+
+
+# Scored rules, a default rule, a foreign id and two microflows.
+POLL_FLOWS = ["i.1", "i.2", "j.1", "g.1", "zz.9",
+              "i.2~10.0.0.1:5>192.168.1.20:9999/6", "i.1~10.0.0.2:7>192.168.1.20:80/6"]
+POLLS = st.lists(st.tuples(st.sampled_from(POLL_FLOWS), st.integers(0, 50),
+                           st.integers(0, 5000)), max_size=5)
+# (minutes since the previous poll, records); the first poll is at minute 0.
+STREAMS = st.lists(st.tuples(st.integers(1, 4), POLLS), min_size=1, max_size=8)
+LAYOUTS = st.builds(FeatureLayout, st.sampled_from(list(FeatureSet)), st.integers(1, 4))
+
+
+class TestExtractorProperties:
+    @staticmethod
+    def twins(layout, stream):
+        """Two extractors fed the same stream; returns them and its last minute."""
+        exts = [VolumetricExtractor("plug", plug_rules(), layout) for _ in range(2)]
+        m = -1
+        for step, (delta, poll) in enumerate(stream):
+            m = 0 if step == 0 else m + delta
+            for ext in exts:
+                ext.add_minute(m, records(m, poll))
+        return exts[0], exts[1], m
+
+    @settings(max_examples=100, deadline=None)
+    @given(LAYOUTS, STREAMS, st.integers(0, 6), POLLS, POLLS)
+    def test_minute_not_after_the_last_raises_and_changes_nothing(
+            self, layout, stream, back, bad, nxt):
+        ext, twin, m = self.twins(layout, stream)
+        with pytest.raises(OrderError):
+            ext.add_minute(m - back, records(m - back, bad))
+        assert ext.unknown_rows == twin.unknown_rows
+        for t in (m + 1, m + 3):
+            assert ext.add_minute(t, records(t, nxt)) == twin.add_minute(t, records(t, nxt))
+
+    @settings(max_examples=100, deadline=None)
+    @given(LAYOUTS, STREAMS, st.integers(1, 10), POLLS, POLLS)
+    def test_gap_equals_explicit_empty_polls(self, layout, stream, gap, last, nxt):
+        skipped, polled, m = self.twins(layout, stream)
+        for t in range(m + 1, m + gap + 1):
+            polled.add_minute(t, [])
+        t = m + gap + 1
+        assert skipped.add_minute(t, records(t, last)) == polled.add_minute(t, records(t, last))
+        assert skipped.add_minute(t + 1, records(t + 1, nxt)) == polled.add_minute(
+            t + 1, records(t + 1, nxt))
+        assert skipped.unknown_rows == polled.unknown_rows
+
+
+def records(ts, poll):
+    return [FlowCounterRecord(ts, "plug", flow, pkts, byts) for flow, pkts, byts in poll]
 
 
 class TestEntropy:

@@ -5,12 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mudmon.errors import (
-    EmptyError,
     InsufficientDataError,
     LayoutMismatchError,
     MudmonError,
@@ -22,7 +21,6 @@ from mudmon.worker import (
     Reason,
     TrainConfig,
     WorkerModel,
-    percentile_boundary,
     train,
     train_dispersion,
 )
@@ -80,30 +78,6 @@ class TestXmeans:
             pts, np.zeros(len(pts), dtype=np.intp), np.median(pts, axis=0)[None, :])
 
 
-class TestPercentile:
-    def test_linear_interpolation_1_to_40(self):
-        # sorted(1..40): rank h = 39 * 0.975 = 38.025 -> 39 + 0.025 * 1
-        assert percentile_boundary(list(range(1, 41))) == pytest.approx(39.025)
-
-    def test_all_equal(self):
-        assert percentile_boundary([3.5] * 10) == 3.5
-
-    def test_single_value(self):
-        assert percentile_boundary([7.25]) == 7.25
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            xs = rng.uniform(0, 100, size=rng.integers(1, 200))
-            p = float(rng.uniform(0.5, 99.5))
-            assert percentile_boundary(xs, p) == pytest.approx(
-                float(np.percentile(xs, p)), abs=1e-9)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyError):
-            percentile_boundary([])
-
-
 class TestTrain:
     def test_two_blob_training(self):
         model = train(two_blobs(), TrainConfig.small(), seed=0)
@@ -126,6 +100,8 @@ class TestTrain:
     def test_min_rows_enforced(self):
         with pytest.raises(InsufficientDataError):
             train(np.zeros((5, 3)), TrainConfig(min_train_rows=10))
+        with pytest.raises(InsufficientDataError):  # no rows is never enough
+            train(np.zeros((0, 3)), TrainConfig(min_train_rows=0))
 
     def test_quiet_scope_flags_any_change(self):
         row = np.array([0.0, 3.0, 0.0])
@@ -288,8 +264,44 @@ class TestDispersion:
         assert flagged >= 15
 
     def test_requires_four_features(self):
-        with pytest.raises(ValueError):
-            train_dispersion(np.zeros((10, 3)))
+        for shape in [(10, 3), (10, 5), (40,), (10, 4, 1)]:
+            with pytest.raises(LayoutMismatchError):
+                train_dispersion(np.zeros(shape))
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("shape", [(10,), (4, 3, 2), (10, 0)])
+    def test_train_rejects_a_matrix_that_is_not_2d(self, shape):
+        with pytest.raises(LayoutMismatchError):
+            train(np.zeros(shape), TrainConfig.small())
+
+    @pytest.mark.parametrize("fit", [train, train_dispersion])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_training_value_raises(self, fit, bad):
+        x = np.random.default_rng(0).normal(size=(40, 4))
+        x[7, 2] = bad
+        with pytest.raises(SchemaError):
+            fit(x, TrainConfig.small())
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2, 2)])
+    def test_predict_batch_rejects_1d_and_3d_input(self, shape):
+        model = train(two_blobs(), TrainConfig.small(), seed=0)
+        with pytest.raises(LayoutMismatchError):
+            model.predict_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("path", [
+        ("norm", "mean"), ("norm", "std"), ("pca", "components"),
+        ("pca", "eigenvalues"), ("clusters", "heads"), ("clusters", "radii")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_from_json_rejects_non_finite_numbers(self, path, bad):
+        doc = json.loads(train(two_blobs(), TrainConfig.small(), seed=0).to_json())
+        values = doc[path[0]][path[1]]
+        if isinstance(values[0], list):
+            values[0][0] = bad
+        else:
+            values[0] = bad
+        with pytest.raises(SchemaError):
+            WorkerModel.from_json(json.dumps(doc))
 
 
 class TestRandIndex:
@@ -365,3 +377,97 @@ class TestModelJson:
             WorkerModel.from_json(text.replace('"version": 1', '"version": 2'))
         with pytest.raises(SchemaError):
             WorkerModel.from_json("[]")
+
+
+STATE_MACHINE = DetectorMode.BOUNDARY_PLUS_STATE_MACHINE
+PROBE_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, -3.0, 10.0]),
+                         st.floats(-50.0, 50.0))
+
+# A version-1 document in the earlier layout, which also wrote
+# ``detector_mode``, ``trained_rows`` and ``norm.n_features_in``: two
+# clusters on one PCA axis, transitions 1->1, 1->0 and 0->0.
+EARLIER_DOC = (
+    '{"version": 1, "detector_mode": "boundary_plus_state_machine", '
+    '"n_features_in": 3, "trained_rows": 24, "norm": {"mean": [2.934166666666666, '
+    '2.9999999999999996, 0.06374999999999999], "std": [2.863664488999288, '
+    '3.081904173288542, 0.393359594815397], "kept": [0, 1, 2], "n_features_in": 3}, '
+    '"pca": {"components": [[-0.7056107487202673, -0.7052964076838307, '
+    '-0.06834068040857709]], "eigenvalues": [1.9895357357860965, 0.9953988039004363, '
+    '0.015065460313467338], "retained": 1}, "clusters": {"heads": '
+    '[[-1.3952668287312986], [1.414078599132326]], "radii": [0.23217145390475663, '
+    '0.2316215343607091]}, "transitions": [[0, 0], [1, 0], [1, 1]]}')
+EARLIER_PROBES = [[0.0, 0.0, 0.0], [6.0, 6.0, 0.0], [0.1, -0.1, 0.2],
+                  [50.0, 50.0, 50.0], [0.5, 0.5, 0.0], [3.0, 3.0, 0.0]]
+# (reason, cluster, distance, next state) per probe, streamed from state None,
+# as the earlier layout's reader scored them.
+EARLIER_VERDICTS = [
+    (Reason.NONE, 1, 0.0065322108757608355, 1),
+    (Reason.NONE, 0, 0.035635497182082254, 0),
+    (Reason.ILLEGAL_TRANSITION, 1, 0.029970015453661514, 1),
+    (Reason.OUTSIDE_BOUNDARY, 0, 29.63352646878264, 1),
+    (Reason.NONE, 1, 0.23109388378436146, 1),
+    (Reason.OUTSIDE_BOUNDARY, 0, 1.3901210707786515, 1),
+]
+
+
+class TestOneRule:
+    """``predict``, ``predict_batch`` and the machine fit share one boundary."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(MODEL_ROWS, st.booleans(), st.data())
+    def test_predict_agrees_with_predict_batch(self, x, use_pca, data):
+        model = train(x, TrainConfig.small(use_pca=use_pca))
+        n = data.draw(st.integers(1, 12))
+        probes = data.draw(arrays(np.float64, (n, x.shape[1]), elements=PROBE_VALUES))
+        rows = np.vstack([x, probes])
+        mask = model.predict_batch(rows).tolist()
+        assert [model.predict(row)[0].anomalous for row in rows] == mask
+
+    @settings(max_examples=80, deadline=None)
+    @given(MODEL_ROWS, st.booleans())
+    # The split tree labels (0, 0) with cluster 0, but its nearest head is
+    # cluster 2's: a machine fitted on split-tree labels never records the
+    # 1 -> 2 step that replaying this sequence takes.
+    @example(np.array([[1.0, 0.0]] * 2 + [[1.0, 1.0]] * 16 + [[0.0, 0.0], [0.0, 1.0]]),
+             False)
+    def test_replaying_training_rows_is_always_legal(self, x, use_pca):
+        model = train(x, TrainConfig.small(detector_mode=STATE_MACHINE, use_pca=use_pca))
+        state = None
+        for row in x:
+            verdict, state = model.predict(row, state)
+            assert verdict.reason is not Reason.ILLEGAL_TRANSITION
+
+    @settings(max_examples=40, deadline=None)
+    @given(MODEL_ROWS, st.sampled_from(list(DetectorMode)), st.booleans())
+    def test_earlier_layout_keys_are_ignored(self, x, mode, use_pca):
+        model = train(x, TrainConfig.small(detector_mode=mode, use_pca=use_pca))
+        doc = json.loads(model.to_json())
+        doc["detector_mode"] = mode.value
+        doc["trained_rows"] = len(x)
+        doc["norm"]["n_features_in"] = x.shape[1]
+        clone = WorkerModel.from_json(json.dumps(doc))
+        assert clone.to_json() == model.to_json()
+        state_a = state_b = None
+        for row in x:
+            va, state_a = model.predict(row, state_a)
+            vb, state_b = clone.predict(row, state_b)
+            assert va == vb and state_a == state_b
+
+    @pytest.mark.parametrize("machine", [True, False])
+    def test_earlier_layout_document_scores_as_before(self, machine):
+        text = EARLIER_DOC
+        if not machine:  # the earlier boundary-only layout wrote no transitions
+            text = (text.replace("boundary_plus_state_machine", "boundary_only")
+                    .replace("[[0, 0], [1, 0], [1, 1]]", "null"))
+        model = WorkerModel.from_json(text)
+        assert (model.machine is not None) is machine
+        state = None
+        for row, (reason, cluster, distance, after) in zip(EARLIER_PROBES, EARLIER_VERDICTS):
+            if not machine and reason is Reason.ILLEGAL_TRANSITION:
+                reason = Reason.NONE
+            verdict, state = model.predict(row, state)
+            assert (verdict.reason, verdict.cluster_id, state) == (reason, cluster, after)
+            assert verdict.anomalous is (reason is not Reason.NONE)
+            assert verdict.distance == pytest.approx(distance, rel=1e-12)
+        assert model.predict_batch(np.array(EARLIER_PROBES)).tolist() == [
+            False, False, False, True, False, True]

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from mudmon.errors import EmptyError
 from mudmon.strategy import Strategy, train_strategy
 from mudmon.worker import TrainConfig
 
@@ -10,6 +12,11 @@ CFG = TrainConfig(min_train_rows=50)
 
 
 class TestStrategies:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_no_units_raises_empty_error(self, strategy):
+        with pytest.raises(EmptyError):
+            train_strategy([], strategy, CFG)
+
     def test_single_unit_equivalent_inputs(self):
         units, ex, ey = make_unit_datasets(1, 300, seed=0)
         per_unit = train_strategy(units, Strategy.PER_UNIT, CFG, seed=1)
