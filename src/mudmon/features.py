@@ -14,6 +14,10 @@ Channel and service vectors concatenate the blocks of their member rules in
 canonical flow-id order. Default rules never contribute features. Standard
 deviation is the population form; window totals equal the sum of the last
 w one-minute totals.
+
+The extractor keeps one window per counter: a deque of the last W
+``(packets, bytes)`` minutes for every scored rule and every live
+microflow, in one store.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyError, OrderError
-from .mud import FlowRuleTemplate, service_groups
-from .switch import FlowCounterRecord, MISS_FLOW_ID
+from .mud import FlowRuleTemplate, Scope, service_groups
+from .switch import BLOCK_PREFIX, FlowCounterRecord, MICROFLOW_MARK, MISS_FLOW_ID
 
 
 class FeatureSet(str, Enum):
@@ -41,6 +46,8 @@ class FeatureLayout:
     max_window_min: int = 4
 
     def __post_init__(self):
+        # A string names its FeatureSet; an unknown one raises ValueError.
+        object.__setattr__(self, "feature_set", FeatureSet(self.feature_set))
         if not 1 <= self.max_window_min <= 8:
             raise ValueError("window must be within 1..8 minutes")
 
@@ -91,23 +98,23 @@ class VolumetricFeatureVector:
     scope: FeatureScope
     ts_min: int
     values: tuple[float, ...]
-    layout: FeatureLayout
 
 
-def _rule_block(pkts: Sequence[int], bytes_: Sequence[int],
-                layout: FeatureLayout) -> list[float]:
-    """Feature block for one rule given the last W minutes, newest last."""
-    totals, stats = layout.windows()
+def _rule_block(window: Sequence[tuple[int, int]],
+                windows: tuple[range, range]) -> list[float]:
+    """Feature block for one counter: its last W minutes, newest last."""
+    totals, stats = windows  # FeatureLayout.windows()
+    pkts, bytes_ = zip(*window)
+    # sum_p[i] is the total of the last i minutes, summed from the newest back.
+    sum_p = [0, *accumulate(reversed(pkts))]
+    sum_b = [0, *accumulate(reversed(bytes_))]
     out: list[float] = []
     for i in totals:
-        out.append(float(sum(pkts[-i:])))
-        out.append(float(sum(bytes_[-i:])))
-    means = []
-    for i in stats:
-        means.append((sum(pkts[-i:]) / i, sum(bytes_[-i:]) / i))
-        out += [means[-1][0], means[-1][1]]
-    for idx, i in enumerate(stats):
-        mp, mb = means[idx]
+        out += [float(sum_p[i]), float(sum_b[i])]
+    means = [(sum_p[i] / i, sum_b[i] / i) for i in stats]
+    for mp, mb in means:
+        out += [mp, mb]
+    for (mp, mb), i in zip(means, stats):
         vp = sum((x - mp) ** 2 for x in pkts[-i:]) / i
         vb = sum((x - mb) ** 2 for x in bytes_[-i:]) / i
         out += [math.sqrt(vp), math.sqrt(vb)]
@@ -117,9 +124,10 @@ def _rule_block(pkts: Sequence[int], bytes_: Sequence[int],
 class VolumetricExtractor:
     """Turns a minutely counter stream into per-scope feature vectors.
 
-    Rule and channel scopes warm up for W minutes before emitting (no
-    padding bias in training data); microflow scopes are born with genuine
-    zero history and emit immediately.
+    Rule and channel scopes emit once the rule windows are full, W minutes
+    after the first poll (no padding bias in training data); microflow
+    scopes are born with genuine zero history and emit immediately. A
+    microflow absent from a poll has been torn down and loses its window.
     """
 
     def __init__(self, device_id: str, rules: list[FlowRuleTemplate],
@@ -129,16 +137,19 @@ class VolumetricExtractor:
         self.groups = service_groups(rules)  # letter -> feature-bearing rules
         self.rule_ids: list[str] = [r.flow_id for rs in self.groups.values() for r in rs]
         self.default_ids = {r.flow_id for r in rules} - set(self.rule_ids)
-        self.local_rules = [r.flow_id for rs in self.groups.values() for r in rs
-                            if r.scope is not None and r.scope.value == "local"]
-        self.internet_rules = [r.flow_id for rs in self.groups.values() for r in rs
-                               if r.scope is not None and r.scope.value == "internet"]
-        w = layout.max_window_min
-        self._hist: dict[str, tuple[deque, deque]] = {
-            rid: (deque(maxlen=w), deque(maxlen=w)) for rid in self.rule_ids}
-        self._micro_hist: dict[str, tuple[deque, deque]] = {}
+        channels = [
+            (FeatureScope(kind, scope.value),
+             [r.flow_id for rs in self.groups.values() for r in rs if r.scope is scope])
+            for kind, scope in ((ScopeKind.CHANNEL_LOCAL, Scope.LOCAL),
+                                (ScopeKind.CHANNEL_INTERNET, Scope.INTERNET))]
+        self._scopes = [c for c in channels if c[1]] + [
+            (FeatureScope(ScopeKind.SERVICE, letter), [r.flow_id for r in rs])
+            for letter, rs in self.groups.items()]
+        # flow id -> last W (packets, bytes) minutes: the rules, then the
+        # live microflows in order of birth.
+        self._windows: dict[str, deque] = {
+            rid: deque(maxlen=layout.max_window_min) for rid in self.rule_ids}
         self._last_min: int | None = None
-        self._minutes_seen = 0
         self.unknown_rows = 0
 
     def add_minute(self, ts_min: int, records: Iterable[FlowCounterRecord]
@@ -152,79 +163,53 @@ class VolumetricExtractor:
             raise OrderError(
                 f"{self.device_id}: minute {ts_min} after {self._last_min}")
 
-        # Fill skipped minutes with zeros so windows and warm-up stay aligned;
-        # W zero minutes already clear every window.
+        # Fill skipped minutes with zeros, so the windows (and with them the
+        # warm-up) count them; W zero minutes already clear every window.
         gap = 0 if self._last_min is None else ts_min - self._last_min - 1
         for _ in range(min(gap, self.layout.max_window_min)):
             self._push_minute({})
-        per_rule: dict[str, tuple[int, int]] = {}
+        counts: dict[str, tuple[int, int]] = {}
         for rec in records:
             if rec.device_id != self.device_id:
                 continue
-            if rec.flow_id in self._hist or "~" in rec.flow_id:
-                per_rule[rec.flow_id] = (rec.packets, rec.bytes)
+            if rec.flow_id in self._windows or MICROFLOW_MARK in rec.flow_id:
+                counts[rec.flow_id] = (rec.packets, rec.bytes)
             elif (rec.flow_id not in self.default_ids
                   and rec.flow_id != MISS_FLOW_ID
-                  and not rec.flow_id.startswith("block:")):
+                  and not rec.flow_id.startswith(BLOCK_PREFIX)):
                 # Foreign flow ids pass through counted but never scored.
                 self.unknown_rows += 1
-        self._push_minute(per_rule)
+        self._push_minute(counts)
         self._last_min = ts_min
-        self._minutes_seen += gap + 1
         return self._emit(ts_min)
 
-    def _push_minute(self, per_rule: Mapping[str, tuple[int, int]]) -> None:
+    def _push_minute(self, counts: Mapping[str, tuple[int, int]]) -> None:
+        windows = self._windows
+        for fid in [f for f in islice(windows, len(self.rule_ids), None) if f not in counts]:
+            del windows[fid]  # torn down
+        for fid, window in windows.items():
+            window.append(counts.get(fid, (0, 0)))
         w = self.layout.max_window_min
-        for rid, (pk, by) in self._hist.items():
-            p, b = per_rule.get(rid, (0, 0))
-            pk.append(p)
-            by.append(b)
-        live_micro = set()
-        for rid, counts in per_rule.items():
-            if "~" not in rid:
-                continue
-            live_micro.add(rid)
-            if rid not in self._micro_hist:
-                # Pre-birth traffic was genuinely zero: backfill the window.
-                self._micro_hist[rid] = (deque([0] * (w - 1), maxlen=w),
-                                         deque([0] * (w - 1), maxlen=w))
-            self._micro_hist[rid][0].append(counts[0])
-            self._micro_hist[rid][1].append(counts[1])
-        # Microflows absent from a poll have been torn down; drop their state.
-        for rid in list(self._micro_hist):
-            if rid not in live_micro:
-                del self._micro_hist[rid]
+        for fid, pair in counts.items():
+            if fid not in windows:
+                # A new microflow's earlier traffic was genuinely zero.
+                windows[fid] = deque([*repeat((0, 0), w - 1), pair], maxlen=w)
 
     def _emit(self, ts_min: int) -> list[VolumetricFeatureVector]:
-        out: list[VolumetricFeatureVector] = []
-        layout = self.layout
-        for rid, (pk, by) in self._micro_hist.items():
-            out.append(VolumetricFeatureVector(
-                self.device_id, FeatureScope(ScopeKind.MICROFLOW, rid), ts_min,
-                tuple(_rule_block(list(pk), list(by), layout)), layout))
-        if self._minutes_seen < layout.max_window_min:
+        spec = self.layout.windows()
+        n_rules = len(self.rule_ids)
+        out = [VolumetricFeatureVector(
+                   self.device_id, FeatureScope(ScopeKind.MICROFLOW, fid), ts_min,
+                   tuple(_rule_block(window, spec)))
+               for fid, window in islice(self._windows.items(), n_rules, None)]
+        if n_rules == 0 or len(self._windows[self.rule_ids[0]]) < self.layout.max_window_min:
             return out
-        blocks = {rid: _rule_block(list(pk), list(by), layout)
-                  for rid, (pk, by) in self._hist.items()}
-
-        def concat(rule_ids: list[str]) -> tuple[float, ...]:
+        blocks = {rid: _rule_block(self._windows[rid], spec) for rid in self.rule_ids}
+        for scope, members in self._scopes:
             vals: list[float] = []
-            for rid in rule_ids:
+            for rid in members:
                 vals += blocks[rid]
-            return tuple(vals)
-
-        if self.local_rules:
-            out.append(VolumetricFeatureVector(
-                self.device_id, FeatureScope(ScopeKind.CHANNEL_LOCAL, "local"),
-                ts_min, concat(self.local_rules), layout))
-        if self.internet_rules:
-            out.append(VolumetricFeatureVector(
-                self.device_id, FeatureScope(ScopeKind.CHANNEL_INTERNET, "internet"),
-                ts_min, concat(self.internet_rules), layout))
-        for letter, rules in self.groups.items():
-            out.append(VolumetricFeatureVector(
-                self.device_id, FeatureScope(ScopeKind.SERVICE, letter), ts_min,
-                concat([r.flow_id for r in rules]), layout))
+            out.append(VolumetricFeatureVector(self.device_id, scope, ts_min, tuple(vals)))
         return out
 
     def device_feature_count(self) -> int:
@@ -281,8 +266,10 @@ class EntropyWindows:
         self.flow_pair_id = flow_pair_id
         self.headers = tuple(headers)
         self._counts: dict[str, Counter] = {h: Counter() for h in self.headers}
+        # Epochs before the first count as zero entropy.
         self._windows: dict[str, deque] = {
-            h: deque(maxlen=ENTROPY_WINDOW_EPOCHS) for h in self.headers}
+            h: deque(repeat(0.0, ENTROPY_WINDOW_EPOCHS), maxlen=ENTROPY_WINDOW_EPOCHS)
+            for h in self.headers}
         self.epochs_seen = 0
 
     def observe(self, header_values: Mapping[str, object]) -> None:
@@ -297,12 +284,9 @@ class EntropyWindows:
         out = []
         for h in self.headers:
             counts = self._counts[h]
-            entropy = sample_entropy(counts) if counts else 0.0
             window = self._windows[h]
-            window.append(entropy)
-            padded = [0.0] * (ENTROPY_WINDOW_EPOCHS - len(window)) + list(window)
+            window.append(sample_entropy(counts) if counts else 0.0)
             out.append(EntropyFeatureVector(
-                self.device_id, self.flow_pair_id, h, epoch_end,
-                tuple(padded), ready))
-            self._counts[h] = Counter()
+                self.device_id, self.flow_pair_id, h, epoch_end, tuple(window), ready))
+            counts.clear()
         return out

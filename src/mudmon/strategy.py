@@ -11,7 +11,7 @@ Four ways to serve N units of one device type:
 
 Each result carries the training-instance count, plus the per-unit
 accuracy curve for the progressive strategy when an evaluation set is
-supplied.
+supplied. A type model's scope label is ``TYPE_LABEL``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import EmptyError
 from .worker import TrainConfig, WorkerModel, train
+
+TYPE_LABEL = "type"
 
 
 class Strategy(str, Enum):
@@ -59,13 +61,14 @@ def train_strategy(
     seed: int = 0,
     eval_x: np.ndarray | None = None,
     eval_y: np.ndarray | None = None,
-    type_label: str = "type",
 ) -> StrategyResult:
     """Train models for one device type under the chosen strategy.
 
     ``unit_sets`` holds one time-ordered benign matrix per unit. All
     randomized steps (unit choice, cluster init) derive from ``seed``.
+    ``strategy`` may be given by value; an unknown one raises ValueError.
     """
+    strategy = Strategy(strategy)
     if not unit_sets:
         raise EmptyError("need at least one unit")
     cfg = cfg or TrainConfig()
@@ -82,14 +85,14 @@ def train_strategy(
         chosen = int(rng.integers(len(unit_sets)))
         model = train(unit_sets[chosen], cfg, seed=seed)
         return StrategyResult(
-            strategy, [(type_label, model)],
+            strategy, [(TYPE_LABEL, model)],
             train_instances=len(unit_sets[chosen]))
 
     if strategy is Strategy.UNIVERSAL_TYPE:
         pooled = np.vstack(unit_sets)
         model = train(pooled, cfg, seed=seed)
         return StrategyResult(
-            strategy, [(type_label, model)],
+            strategy, [(TYPE_LABEL, model)],
             train_instances=len(pooled))
 
     # Progressive: grow the training set by misclassified instances only.
@@ -109,6 +112,6 @@ def train_strategy(
         if eval_x is not None and eval_y is not None:
             curve.append(_accuracy(model, eval_x, eval_y))
     return StrategyResult(
-        Strategy.PROGRESSIVE_TYPE, [(type_label, model)],
+        Strategy.PROGRESSIVE_TYPE, [(TYPE_LABEL, model)],
         train_instances=len(training),
         accuracy_curve=curve, instance_curve=sizes)

@@ -51,6 +51,10 @@ US_PER_SEC = 1_000_000
 US_PER_MIN = 60 * US_PER_SEC
 
 MISS_FLOW_ID = "_miss"
+# Flow-id grammar of the entries the switch inserts: a microflow is
+# "<parent flow id>~<5-tuple>", a mitigation block is "block:<label>".
+MICROFLOW_MARK = "~"
+BLOCK_PREFIX = "block:"
 
 
 class Origin(str, Enum):
@@ -394,7 +398,7 @@ class SwitchSim:
         sustained insertion pressure is itself a distributed-attack signal.
         """
         table = self.tables[device_id]
-        flow_id = f"{parent_flow_id}~{five_tuple}"
+        flow_id = f"{parent_flow_id}{MICROFLOW_MARK}{five_tuple}"
         live = table.reactive.get((flow_id, None))
         if live is not None:
             live.last_hit = now
@@ -417,7 +421,7 @@ class SwitchSim:
                      now: int) -> FlowEntry:
         table = self.tables[device_id]
         entry = FlowEntry(
-            flow_id=f"block:{label}", match=match, priority=PRIORITY_BLOCK,
+            flow_id=f"{BLOCK_PREFIX}{label}", match=match, priority=PRIORITY_BLOCK,
             action=Action.BLOCK, origin=Origin.MITIGATION_BLOCK,
             last_hit=now)
         table.add_entry(entry)
@@ -428,7 +432,7 @@ class SwitchSim:
         """Drop stage-3 microflow entries (all, or those under given parents)."""
         removed = self.tables[device_id].remove_reactive(
             lambda e: e.origin is Origin.STAGE3_MICROFLOW
-            and (parent_flow_ids is None or e.flow_id.split("~", 1)[0] in parent_flow_ids))
+            and (parent_flow_ids is None or e.flow_id.split(MICROFLOW_MARK, 1)[0] in parent_flow_ids))
         return [e.flow_id for e in removed]
 
     def set_flow_action(self, device_id: str, flow_ids: Iterable[str],
@@ -441,9 +445,7 @@ class SwitchSim:
         templates = table.reactive_templates
         for i, tpl in enumerate(templates):
             if tpl.flow_id in flow_ids:
-                templates[i] = FlowRuleTemplate(
-                    tpl.flow_id, tpl.match, tpl.priority, action,
-                    tpl.binding, tpl.role, tpl.group, tpl.scope)
+                templates[i] = replace(tpl, action=action)
 
     # -- maintenance ------------------------------------------------------
 

@@ -77,6 +77,14 @@ class PcaBasis:
 _BOUNDARY_SLACK = 1e-9  # keeps the centroid itself inside a zero radius
 
 
+def _as_floats(data) -> np.ndarray:
+    """``data`` as a float array; SchemaError if numpy cannot convert it."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"input is not an array of numbers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ClusterModel:
     heads: np.ndarray  # (k, m)
@@ -125,6 +133,9 @@ class TrainConfig:
     detector_mode: DetectorMode = DetectorMode.BOUNDARY_ONLY
     use_pca: bool = True
 
+    def __post_init__(self):
+        self.detector_mode = DetectorMode(self.detector_mode)
+
     @staticmethod
     def small(**overrides) -> "TrainConfig":
         """Config for compact training sets (tests, calibration phases)."""
@@ -148,7 +159,7 @@ class WorkerModel:
     def predict(self, vector: Sequence[float], prev_state: int | None = None
                 ) -> tuple[Verdict, int | None]:
         """Score one observation; returns (verdict, next stream state)."""
-        x = np.asarray(vector, dtype=float)
+        x = _as_floats(vector)
         if x.shape != (self.n_features_in,):
             raise LayoutMismatchError(
                 f"expected {self.n_features_in} features, got {x.shape}")
@@ -163,7 +174,7 @@ class WorkerModel:
 
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Boundary-only anomaly mask for a matrix of observations."""
-        x = np.asarray(matrix, dtype=float)
+        x = _as_floats(matrix)
         if x.ndim != 2 or x.shape[1] != self.n_features_in:
             raise LayoutMismatchError(
                 f"expected rows of {self.n_features_in} features, got shape {x.shape}")
@@ -306,7 +317,7 @@ def _fit(matrix: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool,
     scale and PCA is skipped. ``width``, if given, is the required number
     of columns.
     """
-    x = np.asarray(matrix, dtype=float)
+    x = _as_floats(matrix)
     if x.ndim != 2 or x.shape[1] == 0 or width not in (None, x.shape[1]):
         raise LayoutMismatchError(f"training rows of shape {x.shape} do not fit")
     if not np.isfinite(x).all():

@@ -24,8 +24,7 @@ _MAX_ITER = 100
 _SHIFT_TOL = 1e-9
 
 
-def kmedians(points: np.ndarray, init_heads: np.ndarray,
-             max_iter: int = _MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+def kmedians(points: np.ndarray, init_heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd-style iteration under Manhattan distance with median updates.
 
     Returns (labels, heads). Empty clusters are re-seeded with the point
@@ -34,7 +33,7 @@ def kmedians(points: np.ndarray, init_heads: np.ndarray,
     heads = init_heads.astype(float).copy()
     k = heads.shape[0]
     labels = np.zeros(len(points), dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         dists = cdist(points, heads, metric="cityblock")
         labels = np.argmin(dists, axis=1)
         new_heads = heads.copy()

@@ -15,7 +15,7 @@ from mudmon.features import (
     VolumetricExtractor,
     sample_entropy,
 )
-from mudmon.mud import parse_profile, translate
+from mudmon.mud import Scope, parse_profile, service_groups, translate
 from mudmon.switch import FlowCounterRecord
 
 from test_mud import DEV_MAC, GW_IP, GW_MAC, tplink_like_profile
@@ -66,6 +66,16 @@ class TestLayout:
             for w in (1, 2, 4, 8):
                 layout = FeatureLayout(fs, w)
                 assert len(layout.per_rule_names()) == layout.per_rule_count()
+
+    def test_feature_set_given_by_value(self):
+        assert FeatureLayout("FS1", 4).feature_set is FeatureSet.FS1
+        assert FeatureLayout("FS1", 4).per_rule_count() == 8
+        assert FeatureLayout("FS2", 4).per_rule_names() == FeatureLayout(
+            FeatureSet.FS2, 4).per_rule_names()
+
+    def test_unknown_feature_set_raises(self):
+        with pytest.raises(ValueError):
+            FeatureLayout("bogus", 4)
 
     def test_window_bounds(self):
         with pytest.raises(ValueError):
@@ -239,6 +249,85 @@ class TestExtractorProperties:
 
 def records(ts, poll):
     return [FlowCounterRecord(ts, "plug", flow, pkts, byts) for flow, pkts, byts in poll]
+
+
+def naive_vectors(layout, polls):
+    """Expected (scope kind, name, minute, values) per poll, from raw history.
+
+    Recomputes every window from the per-minute records seen so far. A
+    microflow's window is its current run of consecutive polled minutes,
+    zeros before it; it is listed by the start of that run, then by its first
+    record in the poll that started it. Rule scopes emit once W minutes have
+    passed since the first poll.
+    """
+    w, fs = layout.max_window_min, layout.feature_set.value
+    groups = service_groups(plug_rules())
+    scored = [r for rs in groups.values() for r in rs]
+    scopes = [(ScopeKind.CHANNEL_LOCAL, "local",
+               [r.flow_id for r in scored if r.scope is Scope.LOCAL]),
+              (ScopeKind.CHANNEL_INTERNET, "internet",
+               [r.flow_id for r in scored if r.scope is Scope.INTERNET])]
+    scopes = [s for s in scopes if s[2]] + [
+        (ScopeKind.SERVICE, g, [r.flow_id for r in rs]) for g, rs in groups.items()]
+    seen: dict[int, dict[str, tuple[int, int]]] = {}
+    first = polls[0][0]
+    expected = []
+    for t, recs in polls:
+        seen[t] = {}
+        for r in recs:
+            if r.device_id == "plug":
+                seen[t][r.flow_id] = (r.packets, r.bytes)
+
+        def block(fid, since):
+            col = [seen.get(s, {}).get(fid, (0, 0)) if s >= since else (0, 0)
+                   for s in range(t - w + 1, t + 1)]
+            return oracle_block([p for p, _ in col], [b for _, b in col], fs, w)
+
+        def run_start(fid):
+            s = t
+            while fid in seen.get(s - 1, {}):
+                s -= 1
+            return s
+
+        out = []
+        micro = [f for f in seen[t] if "~" in f]
+        for fid in sorted(micro, key=lambda f: (run_start(f),
+                                                list(seen[run_start(f)]).index(f))):
+            out.append((ScopeKind.MICROFLOW, fid, t, tuple(block(fid, run_start(fid)))))
+        if t - first + 1 >= w:
+            for kind, name, members in scopes:
+                out.append((kind, name, t, tuple(v for f in members for v in block(f, first))))
+        expected.append(out)
+    return expected
+
+
+# Scored rules, defaults, a foreign id, a block, the miss counter, microflows
+# under two parents, and another device's records.
+DIFF_FLOWS = ["i.1", "i.2", "j.1", "a.1", "g.1", "k", "zz.9", "block:i.2", "_miss",
+              "i.2~10.0.0.1:5>192.168.1.20:9999/6", "i.2~10.0.0.3:5>192.168.1.20:9999/6",
+              "i.1~10.0.0.2:7>192.168.1.20:80/6"]
+DIFF_POLLS = st.lists(st.tuples(st.sampled_from(["plug", "plug", "plug", "cam"]),
+                                st.sampled_from(DIFF_FLOWS), st.integers(0, 60),
+                                st.integers(0, 9000)), max_size=8)
+
+
+class TestExtractorDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(FeatureLayout, st.sampled_from(list(FeatureSet)), st.integers(1, 5)),
+           st.integers(0, 3),
+           st.lists(st.tuples(st.integers(1, 7), DIFF_POLLS), min_size=1, max_size=14))
+    def test_vectors_equal_naive_history(self, layout, start, stream):
+        ext = VolumetricExtractor("plug", plug_rules(), layout)
+        polls, m = [], start
+        for step, (delta, poll) in enumerate(stream):
+            m = m if step == 0 else m + delta
+            polls.append((m, [FlowCounterRecord(m, dev, f, p, b) for dev, f, p, b in poll]))
+        for (t, recs), want in zip(polls, naive_vectors(layout, polls)):
+            out = ext.add_minute(t, recs)
+            assert {v.device_id for v in out} <= {"plug"}
+            assert [(v.scope.kind, v.scope.name, v.ts_min, v.values) for v in out] == want
+        assert ext.unknown_rows == sum(r.device_id == "plug" and r.flow_id == "zz.9"
+                                       for _, recs in polls for r in recs)
 
 
 class TestEntropy:

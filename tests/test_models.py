@@ -289,6 +289,34 @@ class TestFailClosed:
         with pytest.raises(LayoutMismatchError):
             model.predict_batch(np.zeros(shape))
 
+    def test_train_on_ragged_rows_raises_schema_error(self):
+        with pytest.raises(SchemaError):
+            train([[1.0, 2.0], [3.0]], TrainConfig.small())
+
+    def test_train_dispersion_on_strings_raises_schema_error(self):
+        with pytest.raises(SchemaError):
+            train_dispersion([["a"] * 4] * 10)
+
+    @pytest.mark.parametrize("vector", ["ab", [object()] * 3])
+    def test_predict_on_non_numbers_raises_schema_error(self, vector):
+        model = train(two_blobs(), TrainConfig.small(), seed=0)
+        with pytest.raises(SchemaError):
+            model.predict(vector)
+
+    def test_predict_batch_on_strings_raises_schema_error(self):
+        model = train(two_blobs(), TrainConfig.small(), seed=0)
+        with pytest.raises(SchemaError):
+            model.predict_batch([["a", "b", "c"]])
+
+    def test_detector_mode_given_by_value_trains_a_machine(self):
+        cfg = TrainConfig.small(detector_mode="boundary_plus_state_machine")
+        assert cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE
+        assert train(two_blobs(), cfg, seed=0).machine is not None
+
+    def test_unknown_detector_mode_raises(self):
+        with pytest.raises(ValueError):
+            TrainConfig.small(detector_mode="boundary")
+
     @pytest.mark.parametrize("path", [
         ("norm", "mean"), ("norm", "std"), ("pca", "components"),
         ("pca", "eigenvalues"), ("clusters", "heads"), ("clusters", "radii")])

@@ -17,6 +17,19 @@ class TestStrategies:
         with pytest.raises(EmptyError):
             train_strategy([], strategy, CFG)
 
+    def test_strategy_given_by_value(self):
+        units, _, _ = make_unit_datasets(n_units=3, rows_per_unit=120, seed=2)
+        by_value = train_strategy(units, "universal_type", CFG, seed=1)
+        by_enum = train_strategy(units, Strategy.UNIVERSAL_TYPE, CFG, seed=1)
+        assert by_value.strategy is Strategy.UNIVERSAL_TYPE
+        assert by_value.train_instances == by_enum.train_instances == 360
+        assert by_value.models[0][1].to_json() == by_enum.models[0][1].to_json()
+
+    def test_unknown_strategy_raises(self):
+        units, _, _ = make_unit_datasets(n_units=2, rows_per_unit=60, seed=2)
+        with pytest.raises(ValueError):
+            train_strategy(units, "universal", CFG)
+
     def test_single_unit_equivalent_inputs(self):
         units, ex, ey = make_unit_datasets(1, 300, seed=0)
         per_unit = train_strategy(units, Strategy.PER_UNIT, CFG, seed=1)
