@@ -170,13 +170,11 @@ class VolumetricExtractor:
             self._push_minute({})
         counts: dict[str, tuple[int, int]] = {}
         for rec in records:
-            if rec.device_id != self.device_id:
+            if rec.device_id != self.device_id or rec.flow_id.startswith(BLOCK_PREFIX):
                 continue
             if rec.flow_id in self._windows or MICROFLOW_MARK in rec.flow_id:
                 counts[rec.flow_id] = (rec.packets, rec.bytes)
-            elif (rec.flow_id not in self.default_ids
-                  and rec.flow_id != MISS_FLOW_ID
-                  and not rec.flow_id.startswith(BLOCK_PREFIX)):
+            elif rec.flow_id not in self.default_ids and rec.flow_id != MISS_FLOW_ID:
                 # Foreign flow ids pass through counted but never scored.
                 self.unknown_rows += 1
         self._push_minute(counts)

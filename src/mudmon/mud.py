@@ -9,18 +9,24 @@ abstractions, and eth ethertype (ARP / EAPOL). Each ACE's
 ``actions.forwarding`` must be ``accept`` (forward) or ``drop``/``reject``
 (block).
 
-Translation emits one bidirectional template pair per distinct service and
-action, plus a fixed baseline: EAPOL, DHCP, DNS (reply mirrored), the two
-Internet default mirror rules, the ARP pair, and the local default mirror
-rule. A drop or reject ACE for a service the baseline covers turns the
-covering baseline rules into blocks: ARP ``h.1``/``h.2``, EAPOL ``c`` and
-DNS with the gateway ``f.1``/``f.2``.
+An ACE names its ports from the device's side (remote and device port), not
+by packet direction, so the from-device and to-device ACEs of one service
+are equal: an ACE is its own pairing key. Translation emits one
+bidirectional template pair per distinct ACE (an accept and a drop of one
+service stay apart), plus a fixed baseline: EAPOL, DHCP, DNS (reply
+mirrored), the two Internet default mirror rules, the ARP pair, and the
+local default mirror rule. A drop or reject ACE for a service the baseline
+covers turns the covering baseline rules into blocks: ARP ``h.1``/``h.2``,
+EAPOL ``c`` and DNS with the gateway ``f.1``/``f.2``.
 Flow-ids follow a deterministic convention: the baseline roles own the
 reserved letters c/d/f/g/h/k, and ACE-derived pairs take the remaining
 letters in order (Internet services first, then gateway services, then
 local services). ``<letter>.1`` is the inbound direction for Internet,
 gateway and ARP groups and the outbound direction for DHCP, DNS and local
 groups.
+A template is DNS-bound when its match names a domain (``src_domain`` or
+``dst_domain``): the switch installs it once per IP a DNS answer gives for
+that domain. Every other template is installed as it stands.
 """
 
 from __future__ import annotations
@@ -81,11 +87,6 @@ class Action(str, Enum):
     BLOCK = "block"
 
 
-class Binding(str, Enum):
-    PROACTIVE = "proactive"
-    REACTIVE_DNS = "reactive_dns"
-
-
 class RuleRole(str, Enum):
     """What a rule is for; downstream logic keys on this, not on letters."""
 
@@ -100,15 +101,15 @@ class RuleRole(str, Enum):
 
 @dataclass(frozen=True)
 class Ace:
-    """One access control entry, normalized from the profile JSON."""
+    """One access control entry, normalized from the profile JSON, with no
+    direction: the from-device and to-device ACEs of one service are equal."""
 
-    direction: Direction
     scope: Scope
     endpoint_kind: EndpointKind
     endpoint_value: str | None  # domain or CIDR/IP; None for gateway/any-local
-    protocol: int | str | None  # 1/6/17, "arp", "eapol", or None for any
-    src_port: int | None = None
-    dst_port: int | None = None
+    protocol: int | str  # 1/6/17, "arp" or "eapol"
+    remote_port: int | None = None
+    device_port: int | None = None
     icmp_type: int | None = None
     icmp_code: int | None = None
     action: Action = Action.FORWARD  # BLOCK for a drop or reject ACE
@@ -129,7 +130,7 @@ class MatchSpec:
     """Concrete match fields; None means wildcard.
 
     ``src_domain``/``dst_domain`` are unresolved placeholders carried only
-    by reactive templates; concrete entries always have them as None.
+    by DNS-bound templates; concrete entries always have them as None.
     """
 
     src_mac: str | None = None
@@ -198,7 +199,6 @@ class FlowRuleTemplate:
     match: MatchSpec
     priority: int
     action: Action
-    binding: Binding
     role: RuleRole
     # Letter grouping shared by the two directions of a pair ("a" for a.1/a.2).
     group: str = ""
@@ -306,11 +306,6 @@ def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
             if value is not None and not (_is_int(value) and 0 <= value <= 255):
                 raise _ace_error(index, dirname, f"bad icmp type/code {value!r}")
 
-    if protocol not in (PROTO_TCP, PROTO_UDP) and (src_port or dst_port):
-        raise _ace_error(index, dirname, "ports only valid for tcp/udp")
-    if protocol != PROTO_ICMP and (icmp_type is not None or icmp_code is not None):
-        raise _ace_error(index, dirname, "icmp type/code only valid for icmp")
-
     forwarding = _member(raw, "actions", dict, where).get("forwarding")
     if not isinstance(forwarding, str) or forwarding not in _FORWARDING:
         raise _ace_error(index, dirname, f"unsupported forwarding action {forwarding!r}")
@@ -321,7 +316,7 @@ def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
     controller = mud_nodes.get("controller")
     local_networks = "local-networks" in mud_nodes
     for value in (domain, network):
-        if value is not None and not isinstance(value, str):
+        if value is not None and not (isinstance(value, str) and value):
             raise _ace_error(index, dirname, f"bad endpoint {value!r}")
 
     if domain is not None:
@@ -340,8 +335,9 @@ def _parse_one_ace(raw: Any, direction: Direction, index: int) -> Ace:
     else:
         raise _ace_error(index, dirname,
                          "no endpoint (dnsname/controller/local-networks/network)")
-    return Ace(direction, *endpoint, protocol, src_port, dst_port, icmp_type, icmp_code,
-               _FORWARDING[forwarding])
+    # (remote, device) ports: a to-device packet comes from the remote side.
+    ports = (src_port, dst_port) if direction is Direction.TO_DEVICE else (dst_port, src_port)
+    return Ace(*endpoint, protocol, *ports, icmp_type, icmp_code, _FORWARDING[forwarding])
 
 
 def parse_profile(json_text: str) -> MudProfile:
@@ -392,62 +388,38 @@ def parse_profile(json_text: str) -> MudProfile:
 # Translation
 
 
-@dataclass(frozen=True)
-class _ServiceKey:
-    """Direction-independent identity of a service: used to pair ACEs."""
-
-    scope: Scope
-    endpoint_kind: EndpointKind
-    endpoint_value: str | None
-    protocol: int | str
-    remote_port: int | None
-    device_port: int | None
-    icmp_type: int | None
-    icmp_code: int | None
-    action: Action  # an accept and a drop for one service stay apart
-
-
-def _service_key(ace: Ace) -> _ServiceKey:
-    if ace.direction is Direction.FROM_DEVICE:
-        device_port, remote_port = ace.src_port, ace.dst_port
-    else:
-        device_port, remote_port = ace.dst_port, ace.src_port
-    return _ServiceKey(ace.scope, ace.endpoint_kind, ace.endpoint_value, ace.protocol,
-                       remote_port, device_port, ace.icmp_type, ace.icmp_code, ace.action)
-
-
-def _baseline_role(key: _ServiceKey) -> RuleRole | None:
+def _baseline_role(ace: Ace) -> RuleRole | None:
     """The baseline role whose rules cover a service, if any."""
-    if key.protocol == "arp":
+    if ace.protocol == "arp":
         return RuleRole.ARP
-    if key.protocol == "eapol":
+    if ace.protocol == "eapol":
         return RuleRole.EAPOL
-    if (key.endpoint_kind is EndpointKind.GATEWAY and key.protocol == PROTO_UDP
-            and key.remote_port == 53):
+    if (ace.endpoint_kind is EndpointKind.GATEWAY and ace.protocol == PROTO_UDP
+            and ace.remote_port == 53):
         return RuleRole.DNS
     return None
 
 
-def _pair_kind(key: _ServiceKey) -> str | None:
+def _pair_kind(ace: Ace) -> str | None:
     """The ``_PAIR_SHAPES`` entry a service takes; None if the baseline covers it."""
-    if _baseline_role(key) is not None:
+    if _baseline_role(ace) is not None:
         return None
-    if key.scope is Scope.INTERNET:
-        return "domain" if key.endpoint_kind is EndpointKind.DOMAIN else "ip"
-    if key.endpoint_kind is EndpointKind.GATEWAY:
+    if ace.scope is Scope.INTERNET:
+        return "domain" if ace.endpoint_kind is EndpointKind.DOMAIN else "ip"
+    if ace.endpoint_kind is EndpointKind.GATEWAY:
         return "gateway"
     return "local"
 
 
-# How each kind of service becomes a rule pair: priority, binding, scope,
-# whether the remote side is the gateway MAC (else any MAC), the remote
-# address field ("domain" or "ip"; gateway services match the gateway IP),
-# and whether <letter>.1 is the to-device direction.
-_PAIR_SHAPES: dict[str, tuple[int, Binding, Scope, bool, str | None, bool]] = {
-    "domain": (PRIORITY_REACTIVE, Binding.REACTIVE_DNS, Scope.INTERNET, True, "domain", True),
-    "ip": (PRIORITY_REACTIVE, Binding.PROACTIVE, Scope.INTERNET, True, "ip", True),
-    "gateway": (PRIORITY_NAMED_SERVICE, Binding.PROACTIVE, Scope.LOCAL, True, "ip", True),
-    "local": (PRIORITY_PORT_EXPOSED, Binding.PROACTIVE, Scope.LOCAL, False, None, False),
+# How each kind of service becomes a rule pair: priority, scope, whether the
+# remote side is the gateway MAC (else any MAC), the remote address field
+# ("domain" or "ip"; gateway services match the gateway IP), and whether
+# <letter>.1 is the to-device direction.
+_PAIR_SHAPES: dict[str, tuple[int, Scope, bool, str | None, bool]] = {
+    "domain": (PRIORITY_REACTIVE, Scope.INTERNET, True, "domain", True),
+    "ip": (PRIORITY_REACTIVE, Scope.INTERNET, True, "ip", True),
+    "gateway": (PRIORITY_NAMED_SERVICE, Scope.LOCAL, True, "ip", True),
+    "local": (PRIORITY_PORT_EXPOSED, Scope.LOCAL, False, None, False),
 }
 
 
@@ -475,91 +447,83 @@ def translate(
     if device_mac == gateway_mac:
         raise SchemaError("device and gateway MAC must differ")
 
-    # Pair from/to ACEs describing the same service; keep first-seen order.
-    kinds = {key: _pair_kind(key) for key in map(_service_key, profile.aces)}
+    # Equal ACEs describe one service whichever direction lists them; keep
+    # first-seen order.
+    kinds = {ace: _pair_kind(ace) for ace in profile.aces}
     # A deny of a service the baseline covers blocks the covering rules.
-    blocked = {_baseline_role(key) for key in kinds if key.action is Action.BLOCK}
+    blocked = {_baseline_role(ace) for ace in kinds if ace.action is Action.BLOCK}
 
     rules: list[FlowRuleTemplate] = []
     letters = _letter_sequence()
 
-    def emit(flow_id: str, group: str, match: MatchSpec, priority: int, action: Action,
-             binding: Binding, role: RuleRole, scope: Scope | None) -> None:
+    def emit(flow_id: str, match: MatchSpec, priority: int, action: Action,
+             role: RuleRole, scope: Scope | None) -> None:
         if role in blocked:
             action = Action.BLOCK
-        rules.append(FlowRuleTemplate(flow_id, match, priority, action, binding,
-                                      role, group, scope))
+        rules.append(FlowRuleTemplate(flow_id, match, priority, action, role,
+                                      flow_id.split(".")[0], scope))
 
     def emit_services(*wanted: str) -> None:
-        for key, kind in kinds.items():
+        for ace, kind in kinds.items():
             if kind not in wanted:
                 continue
-            priority, binding, scope, via_gateway, address, inbound_first = _PAIR_SHAPES[kind]
+            priority, scope, via_gateway, address, inbound_first = _PAIR_SHAPES[kind]
             letter = next(letters)
             remote_mac = gateway_mac if via_gateway else None
-            value = gateway_ip if kind == "gateway" else key.endpoint_value
+            value = gateway_ip if kind == "gateway" else ace.endpoint_value
             src_addr = {f"src_{address}": value} if address else {}
             dst_addr = {f"dst_{address}": value} if address else {}
-            common = dict(eth_type=ETH_IPV4, proto=key.protocol,
-                          icmp_type=key.icmp_type, icmp_code=key.icmp_code)
+            common = dict(eth_type=ETH_IPV4, proto=ace.protocol,
+                          icmp_type=ace.icmp_type, icmp_code=ace.icmp_code)
             inbound = MatchSpec(src_mac=remote_mac, dst_mac=device_mac, **src_addr,
-                                src_port=key.remote_port, dst_port=key.device_port, **common)
+                                src_port=ace.remote_port, dst_port=ace.device_port, **common)
             outbound = MatchSpec(src_mac=device_mac, dst_mac=remote_mac, **dst_addr,
-                                 src_port=key.device_port, dst_port=key.remote_port, **common)
+                                 src_port=ace.device_port, dst_port=ace.remote_port, **common)
             pair = (inbound, outbound) if inbound_first else (outbound, inbound)
             for n, match in enumerate(pair, 1):
-                emit(f"{letter}.{n}", letter, match, priority, key.action, binding,
-                     RuleRole.SERVICE, scope)
+                emit(f"{letter}.{n}", match, priority, ace.action, RuleRole.SERVICE, scope)
 
     emit_services("domain", "ip")
 
     # EAPOL (c) and DHCP (d) always present: device discovery and the binding
     # table depend on them.
-    emit("c", "c", MatchSpec(src_mac=device_mac, eth_type=ETH_EAPOL),
-         PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
-         RuleRole.EAPOL, Scope.LOCAL)
-    emit("d.1", "d", MatchSpec(src_mac=device_mac, dst_mac=BROADCAST_MAC,
-                               eth_type=ETH_IPV4, proto=PROTO_UDP, dst_port=67),
-         PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
-         RuleRole.DHCP, Scope.LOCAL)
-    emit("d.2", "d", MatchSpec(src_mac=gateway_mac, dst_mac=device_mac,
-                               eth_type=ETH_IPV4, proto=PROTO_UDP, src_port=67),
-         PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
-         RuleRole.DHCP, Scope.LOCAL)
+    emit("c", MatchSpec(src_mac=device_mac, eth_type=ETH_EAPOL),
+         PRIORITY_NAMED_SERVICE, Action.FORWARD, RuleRole.EAPOL, Scope.LOCAL)
+    emit("d.1", MatchSpec(src_mac=device_mac, dst_mac=BROADCAST_MAC,
+                          eth_type=ETH_IPV4, proto=PROTO_UDP, dst_port=67),
+         PRIORITY_NAMED_SERVICE, Action.FORWARD, RuleRole.DHCP, Scope.LOCAL)
+    emit("d.2", MatchSpec(src_mac=gateway_mac, dst_mac=device_mac,
+                          eth_type=ETH_IPV4, proto=PROTO_UDP, src_port=67),
+         PRIORITY_NAMED_SERVICE, Action.FORWARD, RuleRole.DHCP, Scope.LOCAL)
 
     emit_services("gateway")
 
     # DNS with the local gateway: replies are mirrored to drive reactive
     # bindings, so the pair exists whether or not the profile lists it.
-    emit("f.1", "f", MatchSpec(src_mac=device_mac, dst_mac=gateway_mac,
-                               eth_type=ETH_IPV4, dst_ip=gateway_ip,
-                               proto=PROTO_UDP, dst_port=53),
-         PRIORITY_NAMED_SERVICE, Action.FORWARD, Binding.PROACTIVE,
-         RuleRole.DNS, Scope.LOCAL)
-    emit("f.2", "f", MatchSpec(src_mac=gateway_mac, dst_mac=device_mac,
-                               eth_type=ETH_IPV4, src_ip=gateway_ip,
-                               proto=PROTO_UDP, src_port=53),
-         PRIORITY_NAMED_SERVICE, Action.FORWARD_AND_MIRROR, Binding.PROACTIVE,
-         RuleRole.DNS, Scope.LOCAL)
+    emit("f.1", MatchSpec(src_mac=device_mac, dst_mac=gateway_mac,
+                          eth_type=ETH_IPV4, dst_ip=gateway_ip,
+                          proto=PROTO_UDP, dst_port=53),
+         PRIORITY_NAMED_SERVICE, Action.FORWARD, RuleRole.DNS, Scope.LOCAL)
+    emit("f.2", MatchSpec(src_mac=gateway_mac, dst_mac=device_mac,
+                          eth_type=ETH_IPV4, src_ip=gateway_ip,
+                          proto=PROTO_UDP, src_port=53),
+         PRIORITY_NAMED_SERVICE, Action.FORWARD_AND_MIRROR, RuleRole.DNS, Scope.LOCAL)
 
-    emit("g.1", "g", MatchSpec(src_mac=device_mac, dst_mac=gateway_mac, eth_type=ETH_IPV4),
-         PRIORITY_DEFAULT_INTERNET, Action.FORWARD_AND_MIRROR, Binding.PROACTIVE,
-         RuleRole.DEFAULT_INTERNET, None)
-    emit("g.2", "g", MatchSpec(src_mac=gateway_mac, dst_mac=device_mac, eth_type=ETH_IPV4),
-         PRIORITY_DEFAULT_INTERNET, Action.FORWARD_AND_MIRROR, Binding.PROACTIVE,
-         RuleRole.DEFAULT_INTERNET, None)
+    emit("g.1", MatchSpec(src_mac=device_mac, dst_mac=gateway_mac, eth_type=ETH_IPV4),
+         PRIORITY_DEFAULT_INTERNET, Action.FORWARD_AND_MIRROR, RuleRole.DEFAULT_INTERNET, None)
+    emit("g.2", MatchSpec(src_mac=gateway_mac, dst_mac=device_mac, eth_type=ETH_IPV4),
+         PRIORITY_DEFAULT_INTERNET, Action.FORWARD_AND_MIRROR, RuleRole.DEFAULT_INTERNET, None)
 
-    emit("h.1", "h", MatchSpec(dst_mac=device_mac, eth_type=ETH_ARP),
-         PRIORITY_ARP, Action.FORWARD, Binding.PROACTIVE, RuleRole.ARP, Scope.LOCAL)
-    emit("h.2", "h", MatchSpec(src_mac=device_mac, eth_type=ETH_ARP),
-         PRIORITY_ARP, Action.FORWARD, Binding.PROACTIVE, RuleRole.ARP, Scope.LOCAL)
+    emit("h.1", MatchSpec(dst_mac=device_mac, eth_type=ETH_ARP),
+         PRIORITY_ARP, Action.FORWARD, RuleRole.ARP, Scope.LOCAL)
+    emit("h.2", MatchSpec(src_mac=device_mac, eth_type=ETH_ARP),
+         PRIORITY_ARP, Action.FORWARD, RuleRole.ARP, Scope.LOCAL)
 
     emit_services("local")
 
     # Local default: only the to-device direction, mirrored.
-    emit("k", "k", MatchSpec(dst_mac=device_mac, eth_type=ETH_IPV4),
-         PRIORITY_DEFAULT_LOCAL, Action.FORWARD_AND_MIRROR, Binding.PROACTIVE,
-         RuleRole.DEFAULT_LOCAL, None)
+    emit("k", MatchSpec(dst_mac=device_mac, eth_type=ETH_IPV4),
+         PRIORITY_DEFAULT_LOCAL, Action.FORWARD_AND_MIRROR, RuleRole.DEFAULT_LOCAL, None)
 
     return rules
 

@@ -3,27 +3,30 @@
 Each registered device owns an ordered flow table of concrete entries.
 Packets are matched against the highest-priority entry (first-inserted wins
 on ties), counters accumulate per entry, mirror-action hits produce mirror
-events, and DNS answers seen on mirrored replies instantiate pending
-reactive templates. Reactive entries (DNS-bound service rules, stage-3
-microflows) expire on idle timeouts; MUD-derived proactive rules and
-mitigation blocks are permanent.
+events, and DNS answers seen on mirrored replies instantiate the templates
+that name the answered domain. Reactive entries (DNS-bound service rules,
+stage-3 microflows) expire on idle timeouts; MUD-derived proactive rules
+and mitigation blocks are permanent. The switch keeps no record of DNS
+answers beyond the entries they install.
 
-Each table indexes its reactive entries by a key of strings: ``(flow_id,
-bound IP)`` for a DNS-bound instance and ``(flow_id, None)`` for a
-microflow, whose id already names its 5-tuple. The index answers whether a
-reactive entry is already installed (a repeated DNS answer or microflow
-refreshes it instead of duplicating it), its size is the count held against
-``tcam_capacity``, and it holds exactly the entries that expiry and
-microflow teardown may remove. The switch also maps each domain to the
-(table, template slot) pairs it binds, so a DNS answer visits only the
-templates that name it.
+A table holds its entries in three tiers, each in ``(-priority, seq)``
+order: the mitigation blocks above ``PRIORITY_MICROFLOW``, the live
+microflows, and the proactive and DNS-bound entries below. A lookup scans
+the blocks, then looks the packet's 5-tuple up in a hash of the microflow
+tier (one probe per wildcard pattern in use, the earliest-inserted match
+winning), then scans the tier below. A packet that matches nothing hits the
+table-miss entry: the lowest-priority entry, matching everything, as in
+OpenFlow 1.3. It counts like any other entry but is not listed among the
+table's entries.
 
-The entries are kept sorted by ``(-priority, seq)``, so the microflow tier
-(``PRIORITY_MICROFLOW``) is one contiguous slice. A lookup scans the few
-entries above it (mitigation blocks), then looks the packet's 5-tuple up in
-a hash of the microflow tier (one probe per wildcard pattern in use, the
-earliest-inserted match winning), then scans the proactive and DNS-bound
-entries below it.
+Microflows are indexed by flow id, which already names the 5-tuple, and
+DNS-bound entries by ``(flow_id, bound IP)``. The two indexes answer
+whether a reactive entry is already installed (a repeated DNS answer or
+microflow refreshes it instead of duplicating it), their sizes add up to
+the count held against ``tcam_capacity``, and they hold exactly the entries
+that expiry and microflow teardown may remove. The switch also maps each
+domain to the (table, template slot) pairs it binds, so a DNS answer visits
+only the templates that name it.
 
 Timestamps are integer microseconds. Counter polling happens on a minutely
 cadence and yields per-flow-id deltas (entries sharing a flow id, e.g. the
@@ -35,12 +38,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable
 
-from .errors import NoDeviceError, TableFullError
+from .errors import NoDeviceError, SchemaError, TableFullError
 from .mud import (
     Action,
-    Binding,
     FlowRuleTemplate,
     MatchSpec,
     PRIORITY_BLOCK,
@@ -173,6 +176,13 @@ def _rank(entry: FlowEntry) -> tuple[int, int]:
     return -entry.priority, entry.seq
 
 
+def _take_unpolled(entry: FlowEntry) -> tuple[int, int]:
+    """The entry's (packets, bytes) since the last poll, now marked polled."""
+    delta = entry.packet_count - entry.polled_packets, entry.byte_count - entry.polled_bytes
+    entry.polled_packets, entry.polled_bytes = entry.packet_count, entry.byte_count
+    return delta
+
+
 def _five_tuple_key(match: MatchSpec) -> tuple[tuple[int, ...], tuple]:
     """The 5-tuple fields a match leaves open (by position) and their values."""
     fields = (match.src_ip, match.dst_ip, match.proto, match.src_port, match.dst_port)
@@ -182,76 +192,75 @@ def _five_tuple_key(match: MatchSpec) -> tuple[tuple[int, ...], tuple]:
 
 
 class _DeviceTable:
-    """Flow table plus reactive-template registry for one device."""
+    """Flow table plus DNS-bound template registry for one device."""
 
     def __init__(self):
-        # Sorted by _rank: blocks above the microflow tier, the tier, the rest.
-        self.entries: list[FlowEntry] = []
-        self.n_above = 0  # entries ranked above the microflow tier
-        self.n_tier = 0  # entries in the microflow tier
+        # Each tier sorted by _rank: blocks, then the microflows, then the rest.
+        self.above: list[FlowEntry] = []
+        self.microflows: dict[str, FlowEntry] = {}  # by flow id, in seq order
+        self.below: list[FlowEntry] = []
         # The microflow tier by wildcard pattern, then by 5-tuple, in seq order.
         self.tier: dict[tuple[int, ...], dict[tuple, list[FlowEntry]]] = {}
-        # Every DNS-bound and microflow entry, by (flow_id, bound IP or None).
-        self.reactive: dict[tuple[str, str | None], FlowEntry] = {}
+        self.dns_bound: dict[tuple[str, str], FlowEntry] = {}  # by (flow_id, bound IP)
         self.reactive_templates: list[FlowRuleTemplate] = []
-        self.miss_packets = 0
-        self.miss_bytes = 0
-        self._miss_polled = (0, 0)
+        self.miss = FlowEntry(MISS_FLOW_ID, MatchSpec(), 0, Action.FORWARD,
+                              Origin.MUD_PROACTIVE)
         # Un-polled deltas of entries removed between polls, so counter
         # conservation survives expiry and microflow teardown.
         self.residual: dict[str, tuple[int, int]] = {}
         self._seq = 0
 
-    def add_entry(self, entry: FlowEntry,
-                  reactive_key: tuple[str, str | None] | None = None) -> None:
+    @property
+    def entries(self) -> list[FlowEntry]:
+        """Every installed entry in rank order; the table-miss entry is not one."""
+        return [*self.above, *self.microflows.values(), *self.below]
+
+    def add_entry(self, entry: FlowEntry, bound_ip: str | None = None) -> None:
         entry.seq = self._seq
         self._seq += 1
-        bisect.insort(self.entries, entry, key=_rank)
-        if reactive_key is not None:
-            self.reactive[reactive_key] = entry
-        if entry.priority > PRIORITY_MICROFLOW:
-            self.n_above += 1
-        elif entry.priority == PRIORITY_MICROFLOW:
+        if entry.origin is Origin.STAGE3_MICROFLOW:
+            self.microflows[entry.flow_id] = entry
             wild, fields = _five_tuple_key(entry.match)
             self.tier.setdefault(wild, {}).setdefault(fields, []).append(entry)
-            self.n_tier += 1
+            return
+        bisect.insort(self.above if entry.priority > PRIORITY_MICROFLOW else self.below,
+                      entry, key=_rank)
+        if bound_ip is not None:
+            self.dns_bound[entry.flow_id, bound_ip] = entry
 
     def remove_reactive(self, doomed: Callable[[FlowEntry], bool]) -> list[FlowEntry]:
-        """Drop the reactive entries ``doomed`` picks, banking their un-polled deltas."""
-        removed = [(key, e) for key, e in self.reactive.items() if doomed(e)]
-        for key, entry in removed:
-            del self.reactive[key]
-            dp = entry.packet_count - entry.polled_packets
-            db = entry.byte_count - entry.polled_bytes
+        """Drop the reactive entries ``doomed`` picks, banking their un-polled deltas.
+
+        Returns them in the order they were installed.
+        """
+        bound, micro = ([index.pop(key) for key in [key for key, e in index.items() if doomed(e)]]
+                        for index in (self.dns_bound, self.microflows))
+        if bound:
+            gone = {e.seq for e in bound}
+            self.below = [e for e in self.below if e.seq not in gone]
+        for entry in micro:
+            wild, fields = _five_tuple_key(entry.match)
+            buckets = self.tier[wild]
+            kept = [e for e in buckets[fields] if e is not entry]
+            if kept:
+                buckets[fields] = kept
+            else:
+                del buckets[fields]
+                if not buckets:
+                    del self.tier[wild]
+        removed = sorted(bound + micro, key=attrgetter("seq"))
+        for entry in removed:
+            dp, db = _take_unpolled(entry)
             if dp or db:
                 p, b = self.residual.get(entry.flow_id, (0, 0))
                 self.residual[entry.flow_id] = (p + dp, b + db)
-            if entry.priority > PRIORITY_MICROFLOW:
-                self.n_above -= 1
-            elif entry.priority == PRIORITY_MICROFLOW:
-                wild, fields = _five_tuple_key(entry.match)
-                buckets = self.tier[wild]
-                kept = [e for e in buckets[fields] if e is not entry]
-                if kept:
-                    buckets[fields] = kept
-                else:
-                    del buckets[fields]
-                    if not buckets:
-                        del self.tier[wild]
-                self.n_tier -= 1
-        if removed:
-            gone = {e.seq for _, e in removed}
-            self.entries = [e for e in self.entries if e.seq not in gone]
-        return [e for _, e in removed]
+        return removed
 
-    def lookup(self, pkt: PacketRecord) -> FlowEntry | None:
-        entries = self.entries
-        above, tier = self.n_above, self.n_tier
-        if above:
-            for entry in entries[:above]:
-                if entry.match.matches(pkt):
-                    return entry
-        if tier:
+    def lookup(self, pkt: PacketRecord) -> FlowEntry:
+        for entry in self.above:
+            if entry.match.matches(pkt):
+                return entry
+        if self.tier:
             best = None
             five = (pkt.src_ip, pkt.dst_ip, pkt.proto, pkt.src_port, pkt.dst_port)
             for wild, buckets in self.tier.items():
@@ -263,10 +272,10 @@ class _DeviceTable:
                         break
             if best is not None:
                 return best
-        for entry in entries[above + tier:] if above or tier else entries:
+        for entry in self.below:
             if entry.match.matches(pkt):
                 return entry
-        return None
+        return self.miss
 
 
 class SwitchSim:
@@ -284,30 +293,37 @@ class SwitchSim:
         self.microflow_idle_sec = microflow_idle_sec
         self.tables: dict[str, _DeviceTable] = {}
         self.mac_to_device: dict[str, str] = {}
-        self.dns_cache: dict[str, set[str]] = {}
         # Domain -> (table, slot in its reactive_templates) of each template
         # naming it. A slot, not the template: set_flow_action swaps templates.
         self._domain_slots: dict[str, list[tuple[_DeviceTable, int]]] = {}
         self.on_mirror: list[Callable[[str, str, PacketRecord], None]] = []
         self.dropped_packets = 0
-        self.total_packets = 0
-        self.mirrored_packets = 0
 
     # -- setup ------------------------------------------------------------
 
     def register_device(self, device_id: str, mac: str,
                         templates: Iterable[FlowRuleTemplate]) -> None:
+        """Install a device's templates in a fresh table, replacing any earlier one.
+
+        Raises SchemaError if another device already owns the MAC, or if a
+        template ranks with the microflow tier or above it.
+        """
         mac = mac.lower()
+        owner = self.mac_to_device.get(mac, device_id)
+        if owner != device_id:
+            raise SchemaError(f"MAC {mac} is registered to {owner!r}, not {device_id!r}")
+        templates = list(templates)
+        if any(tpl.priority >= PRIORITY_MICROFLOW for tpl in templates):
+            raise SchemaError(f"{device_id}: template priority at or above {PRIORITY_MICROFLOW}")
         table = _DeviceTable()
         if (old := self.tables.get(device_id)) is not None:
             for refs in self._domain_slots.values():
                 refs[:] = [ref for ref in refs if ref[0] is not old]
+            self.mac_to_device = {m: d for m, d in self.mac_to_device.items() if d != device_id}
         for tpl in templates:
-            if tpl.binding is Binding.REACTIVE_DNS:
-                domain = tpl.match.src_domain or tpl.match.dst_domain
-                if domain is not None:
-                    self._domain_slots.setdefault(domain, []).append(
-                        (table, len(table.reactive_templates)))
+            if domain := tpl.match.src_domain or tpl.match.dst_domain:
+                self._domain_slots.setdefault(domain, []).append(
+                    (table, len(table.reactive_templates)))
                 table.reactive_templates.append(tpl)
             else:
                 table.add_entry(FlowEntry(
@@ -320,7 +336,6 @@ class SwitchSim:
 
     def process_packet(self, pkt: PacketRecord, now: int | None = None) -> Disposition:
         now = pkt.ts if now is None else now
-        self.total_packets += 1
 
         device_ids = []
         src_dev = self.mac_to_device.get(pkt.src_mac)
@@ -339,11 +354,6 @@ class SwitchSim:
         for device_id in device_ids:
             table = self.tables[device_id]
             entry = table.lookup(pkt)
-            if entry is None:
-                table.miss_packets += 1
-                table.miss_bytes += pkt.length
-                matches.append(MatchResult(device_id, MISS_FLOW_ID, Action.FORWARD))
-                continue
             entry.packet_count += 1
             entry.byte_count += pkt.length
             entry.last_hit = now
@@ -352,7 +362,6 @@ class SwitchSim:
                 forwarded = False
             elif entry.action is Action.FORWARD_AND_MIRROR:
                 mirrored = True
-                self.mirrored_packets += 1
                 for cb in self.on_mirror:
                     cb(device_id, entry.flow_id, pkt)
 
@@ -364,19 +373,18 @@ class SwitchSim:
     # -- reactive insertion -----------------------------------------------
 
     def handle_dns_answer(self, domain: str, ips: Iterable[str], now: int) -> list[FlowEntry]:
-        """Instantiate matching reactive templates, one entry per resolved IP.
+        """Instantiate the templates naming ``domain``, one entry per resolved IP.
 
         Idempotent: an already-live (flow_id, ip) instance is refreshed, not
-        duplicated. Unknown domains only update the cache.
+        duplicated. A domain no template names binds nothing.
         """
         ips = list(ips)
-        self.dns_cache.setdefault(domain, set()).update(ips)
         inserted: list[FlowEntry] = []
         for table, slot in self._domain_slots.get(domain, ()):
             tpl = table.reactive_templates[slot]
             bind = "src" if tpl.match.src_domain else "dst"
             for ip in ips:
-                live = table.reactive.get((tpl.flow_id, ip))
+                live = table.dns_bound.get((tpl.flow_id, ip))
                 if live is not None:
                     live.last_hit = now
                     continue
@@ -386,7 +394,7 @@ class SwitchSim:
                     priority=tpl.priority, action=tpl.action,
                     origin=Origin.MUD_REACTIVE_DNS,
                     idle_timeout_sec=self.reactive_idle_sec, last_hit=now)
-                table.add_entry(entry, (tpl.flow_id, ip))
+                table.add_entry(entry, ip)
                 inserted.append(entry)
         return inserted
 
@@ -399,11 +407,11 @@ class SwitchSim:
         """
         table = self.tables[device_id]
         flow_id = f"{parent_flow_id}{MICROFLOW_MARK}{five_tuple}"
-        live = table.reactive.get((flow_id, None))
+        live = table.microflows.get(flow_id)
         if live is not None:
             live.last_hit = now
             return live
-        if len(table.reactive) >= self.tcam_capacity:
+        if len(table.dns_bound) + len(table.microflows) >= self.tcam_capacity:
             raise TableFullError(
                 f"{device_id}: reactive capacity {self.tcam_capacity} reached")
         match = MatchSpec(
@@ -414,11 +422,18 @@ class SwitchSim:
             flow_id=flow_id, match=match, priority=PRIORITY_MICROFLOW,
             action=Action.FORWARD, origin=Origin.STAGE3_MICROFLOW,
             idle_timeout_sec=self.microflow_idle_sec, last_hit=now)
-        table.add_entry(entry, (flow_id, None))
+        table.add_entry(entry)
         return entry
 
     def insert_block(self, device_id: str, match: MatchSpec, label: str,
                      now: int) -> FlowEntry:
+        """Install a permanent block above every other entry, as ``block:<label>``.
+
+        Raises SchemaError if the label holds ``MICROFLOW_MARK``, which would
+        make the block's flow id read as a microflow's.
+        """
+        if MICROFLOW_MARK in label:
+            raise SchemaError(f"block label {label!r} holds {MICROFLOW_MARK!r}")
         table = self.tables[device_id]
         entry = FlowEntry(
             flow_id=f"{BLOCK_PREFIX}{label}", match=match, priority=PRIORITY_BLOCK,
@@ -464,10 +479,7 @@ class SwitchSim:
         for device_id, table in self.tables.items():
             per_flow: dict[str, tuple[int, int]] = {}
             for entry in table.entries:
-                dp = entry.packet_count - entry.polled_packets
-                db = entry.byte_count - entry.polled_bytes
-                entry.polled_packets = entry.packet_count
-                entry.polled_bytes = entry.byte_count
+                dp, db = _take_unpolled(entry)
                 p, b = per_flow.get(entry.flow_id, (0, 0))
                 per_flow[entry.flow_id] = (p + dp, b + db)
             for flow_id, (rp, rb) in table.residual.items():
@@ -479,12 +491,11 @@ class SwitchSim:
                 per_flow.setdefault(tpl.flow_id, (0, 0))
             for flow_id, (p, b) in per_flow.items():
                 records.append(FlowCounterRecord(ts_min, device_id, flow_id, p, b))
-            mp, mb = table._miss_polled
-            dmp, dmb = table.miss_packets - mp, table.miss_bytes - mb
-            table._miss_polled = (table.miss_packets, table.miss_bytes)
-            if dmp:
-                records.append(FlowCounterRecord(ts_min, device_id, MISS_FLOW_ID, dmp, dmb))
+            dp, db = _take_unpolled(table.miss)
+            if dp:  # the table-miss entry is reported only when it was hit, and last
+                records.append(FlowCounterRecord(ts_min, device_id, MISS_FLOW_ID, dp, db))
         return records
 
     def entry_count(self, device_id: str) -> int:
-        return len(self.tables[device_id].entries)
+        table = self.tables[device_id]
+        return len(table.above) + len(table.microflows) + len(table.below)

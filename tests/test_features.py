@@ -200,6 +200,11 @@ class TestVolumetric:
         assert micro[0].values[0] == 600.0
         assert micro[0].values[6] == 600.0  # zero backfill before birth
 
+    def test_block_with_a_microflow_mark_is_not_scored(self):
+        ext = VolumetricExtractor("plug", plug_rules(), FeatureLayout(FeatureSet.FS3, 4))
+        out = ext.add_minute(0, [self.rec(0, "block:i.2~10.0.0.1:5>192.168.1.20:9999/6", 6, 360)])
+        assert out == [] and ext.unknown_rows == 0
+
 
 # Scored rules, a default rule, a foreign id and two microflows.
 POLL_FLOWS = ["i.1", "i.2", "j.1", "g.1", "zz.9",

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from mudmon.errors import MudmonError, ParseError, SchemaError
 from mudmon.mud import (
     Action,
-    Binding,
-    Direction,
     EndpointKind,
     FlowRuleTemplate,
     MatchSpec,
@@ -94,12 +92,11 @@ class TestParse:
         assert len(profile.aces_from_device) == 1
         assert len(profile.aces_to_device) == 0
         a = profile.aces_from_device[0]
-        assert a.direction is Direction.FROM_DEVICE
         assert a.scope is Scope.INTERNET
         assert a.endpoint_kind is EndpointKind.DOMAIN
         assert a.endpoint_value == "devs.tplinkcloud.com"
         assert a.protocol == 6
-        assert a.dst_port == 50443
+        assert a.remote_port == 50443
 
     def test_empty_access_lists(self):
         profile = parse_profile(make_profile([], []))
@@ -122,6 +119,15 @@ class TestParse:
     def test_missing_protocol_rejected(self):
         text = make_profile(
             [ace("bad", {"ietf-mud:mud": {"local-networks": [None]}})], [])
+        with pytest.raises(SchemaError):
+            parse_profile(text)
+
+    def test_empty_dns_name_rejected(self):
+        # A template is DNS-bound by the domain it names, so the domain may not be empty.
+        text = make_profile(
+            [ace("bad", {"ipv4": {"protocol": 6, "ietf-acldns:dst-dnsname": ""},
+                         "tcp": {"destination-port": {"operator": "eq", "port": 443}}})],
+            [])
         with pytest.raises(SchemaError):
             parse_profile(text)
 
@@ -279,10 +285,9 @@ class TestTranslate:
         profile = parse_profile(tplink_like_profile())
         rules = {r.flow_id: r for r in translate(profile, DEV_MAC, GW_MAC, GW_IP)}
         a1 = rules["a.1"]
-        assert a1.binding is Binding.REACTIVE_DNS
+        assert (a1.match.src_domain, a1.match.dst_domain) == ("pool.ntp.example", None)
         assert a1.priority == 20
         assert a1.match.src_mac == GW_MAC and a1.match.dst_mac == DEV_MAC
-        assert a1.match.src_domain == "pool.ntp.example"
         assert a1.match.proto == 17 and a1.match.src_port == 123
         b2 = rules["b.2"]
         assert b2.match.dst_domain == "cloud.plug.example"
@@ -320,7 +325,7 @@ class TestTranslate:
         rules = translate(parse_profile(text), DEV_MAC, GW_MAC, GW_IP)
         ab = [r for r in rules if r.flow_id in ("a.1", "a.2")]
         assert len(ab) == 2
-        assert all(r.binding is Binding.REACTIVE_DNS for r in ab)
+        assert all((r.match.src_domain or r.match.dst_domain) == "pool.ntp.example" for r in ab)
         assert all(r.priority == 20 for r in ab)
 
     def test_translation_deterministic(self):
@@ -337,7 +342,7 @@ class TestTranslate:
             [])
         rules = translate(parse_profile(text), DEV_MAC, GW_MAC, GW_IP)
         svc = [r for r in rules if r.role is RuleRole.SERVICE]
-        assert all(r.binding is Binding.PROACTIVE for r in svc)
+        assert all(r.match.src_domain is None and r.match.dst_domain is None for r in svc)
         assert svc[0].match.src_ip == "198.51.100.7"
 
     def test_priority_tiers(self):
@@ -392,49 +397,104 @@ class TestTranslateFields:
         rules = translate(parse_profile(text), DEV_MAC, GW_MAC, GW_IP)
 
         fwd, mirror = Action.FORWARD, Action.FORWARD_AND_MIRROR
-        pro, dns = Binding.PROACTIVE, Binding.REACTIVE_DNS
         svc, inet, local = RuleRole.SERVICE, Scope.INTERNET, Scope.LOCAL
         ip4 = 0x0800
 
-        def rule(flow_id, priority, action, binding, role, scope, **match):
+        def rule(flow_id, priority, action, role, scope, **match):
             return FlowRuleTemplate(flow_id, MatchSpec(**match), priority, action,
-                                    binding, role, flow_id[0], scope)
+                                    role, flow_id[0], scope)
 
         expected = [
-            rule("a.1", 20, fwd, dns, svc, inet, src_mac=GW_MAC, dst_mac=DEV_MAC,
+            rule("a.1", 20, fwd, svc, inet, src_mac=GW_MAC, dst_mac=DEV_MAC,
                  eth_type=ip4, src_domain="cloud.example", proto=6, src_port=443),
-            rule("a.2", 20, fwd, dns, svc, inet, src_mac=DEV_MAC, dst_mac=GW_MAC,
+            rule("a.2", 20, fwd, svc, inet, src_mac=DEV_MAC, dst_mac=GW_MAC,
                  eth_type=ip4, dst_domain="cloud.example", proto=6, dst_port=443),
-            rule("b.1", 20, fwd, pro, svc, inet, src_mac=GW_MAC, dst_mac=DEV_MAC,
+            rule("b.1", 20, fwd, svc, inet, src_mac=GW_MAC, dst_mac=DEV_MAC,
                  eth_type=ip4, src_ip="198.51.100.7", proto=17, src_port=123),
-            rule("b.2", 20, fwd, pro, svc, inet, src_mac=DEV_MAC, dst_mac=GW_MAC,
+            rule("b.2", 20, fwd, svc, inet, src_mac=DEV_MAC, dst_mac=GW_MAC,
                  eth_type=ip4, dst_ip="198.51.100.7", proto=17, dst_port=123),
-            rule("c", 11, fwd, pro, RuleRole.EAPOL, local, src_mac=DEV_MAC, eth_type=0x888E),
-            rule("d.1", 11, fwd, pro, RuleRole.DHCP, local, src_mac=DEV_MAC,
+            rule("c", 11, fwd, RuleRole.EAPOL, local, src_mac=DEV_MAC, eth_type=0x888E),
+            rule("d.1", 11, fwd, RuleRole.DHCP, local, src_mac=DEV_MAC,
                  dst_mac="ff:ff:ff:ff:ff:ff", eth_type=ip4, proto=17, dst_port=67),
-            rule("d.2", 11, fwd, pro, RuleRole.DHCP, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
+            rule("d.2", 11, fwd, RuleRole.DHCP, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
                  eth_type=ip4, proto=17, src_port=67),
-            rule("e.1", 11, fwd, pro, svc, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
+            rule("e.1", 11, fwd, svc, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
                  eth_type=ip4, src_ip=GW_IP, proto=1, icmp_type=8, icmp_code=0),
-            rule("e.2", 11, fwd, pro, svc, local, src_mac=DEV_MAC, dst_mac=GW_MAC,
+            rule("e.2", 11, fwd, svc, local, src_mac=DEV_MAC, dst_mac=GW_MAC,
                  eth_type=ip4, dst_ip=GW_IP, proto=1, icmp_type=8, icmp_code=0),
-            rule("f.1", 11, fwd, pro, RuleRole.DNS, local, src_mac=DEV_MAC, dst_mac=GW_MAC,
+            rule("f.1", 11, fwd, RuleRole.DNS, local, src_mac=DEV_MAC, dst_mac=GW_MAC,
                  eth_type=ip4, dst_ip=GW_IP, proto=17, dst_port=53),
-            rule("f.2", 11, mirror, pro, RuleRole.DNS, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
+            rule("f.2", 11, mirror, RuleRole.DNS, local, src_mac=GW_MAC, dst_mac=DEV_MAC,
                  eth_type=ip4, src_ip=GW_IP, proto=17, src_port=53),
-            rule("g.1", 10, mirror, pro, RuleRole.DEFAULT_INTERNET, None, src_mac=DEV_MAC,
+            rule("g.1", 10, mirror, RuleRole.DEFAULT_INTERNET, None, src_mac=DEV_MAC,
                  dst_mac=GW_MAC, eth_type=ip4),
-            rule("g.2", 10, mirror, pro, RuleRole.DEFAULT_INTERNET, None, src_mac=GW_MAC,
+            rule("g.2", 10, mirror, RuleRole.DEFAULT_INTERNET, None, src_mac=GW_MAC,
                  dst_mac=DEV_MAC, eth_type=ip4),
-            rule("h.1", 7, fwd, pro, RuleRole.ARP, local, dst_mac=DEV_MAC, eth_type=0x0806),
-            rule("h.2", 7, fwd, pro, RuleRole.ARP, local, src_mac=DEV_MAC, eth_type=0x0806),
-            rule("i.1", 6, fwd, pro, svc, local, src_mac=DEV_MAC, eth_type=ip4, proto=6,
+            rule("h.1", 7, fwd, RuleRole.ARP, local, dst_mac=DEV_MAC, eth_type=0x0806),
+            rule("h.2", 7, fwd, RuleRole.ARP, local, src_mac=DEV_MAC, eth_type=0x0806),
+            rule("i.1", 6, fwd, svc, local, src_mac=DEV_MAC, eth_type=ip4, proto=6,
                  src_port=9999),
-            rule("i.2", 6, fwd, pro, svc, local, dst_mac=DEV_MAC, eth_type=ip4, proto=6,
+            rule("i.2", 6, fwd, svc, local, dst_mac=DEV_MAC, eth_type=ip4, proto=6,
                  dst_port=9999),
-            rule("k", 5, mirror, pro, RuleRole.DEFAULT_LOCAL, None, dst_mac=DEV_MAC,
+            rule("k", 5, mirror, RuleRole.DEFAULT_LOCAL, None, dst_mac=DEV_MAC,
                  eth_type=ip4),
         ]
         assert [r.flow_id for r in rules] == [r.flow_id for r in expected]
         for got, want in zip(rules, expected):
             assert got == want, got.flow_id
+
+
+# A service of the supported subset, as (endpoint kind, which of two remote
+# endpoints, protocol, remote port, device port, icmp type, icmp code,
+# forwarding).
+_SERVICES = st.tuples(
+    st.sampled_from(["domain", "ip", "gateway", "local"]),
+    st.integers(0, 1),
+    st.sampled_from(["tcp", "udp", "icmp"]),
+    st.none() | st.sampled_from([53, 123, 443]),
+    st.none() | st.sampled_from([53, 9999]),
+    st.none() | st.integers(0, 8),
+    st.none() | st.integers(0, 1),
+    st.sampled_from(["accept", "drop"]))
+_PROTOCOLS = {"icmp": 1, "tcp": 6, "udp": 17}
+_REMOTES = {"domain": ("cloud.example", "pool.ntp.example"),
+            "ip": ("198.51.100.7/32", "198.51.100.8/32")}
+
+
+def _service_ace(service, from_device):
+    """The ACE listing a service in one direction: endpoint and ports mirrored."""
+    kind, which, proto, remote, device, icmp_type, icmp_code, forwarding = service
+    side = "dst" if from_device else "src"
+    ipv4 = {"protocol": _PROTOCOLS[proto]}
+    matches = {"ipv4": ipv4}
+    if kind == "domain":
+        ipv4[f"ietf-acldns:{side}-dnsname"] = _REMOTES[kind][which]
+    elif kind == "ip":
+        ipv4[f"{'destination' if from_device else 'source'}-ipv4-network"] = _REMOTES[kind][which]
+    elif kind == "gateway":
+        matches["ietf-mud:mud"] = {"controller": "urn:ietf:params:mud:gateway"}
+    else:
+        matches.update(LOCAL)
+    if proto == "icmp":
+        matches["icmp"] = {k: v for k, v in (("type", icmp_type), ("code", icmp_code))
+                           if v is not None}
+    else:
+        src, dst = (device, remote) if from_device else (remote, device)
+        matches[proto] = {f"{end}-port": {"operator": "eq", "port": port}
+                          for end, port in (("source", src), ("destination", dst))
+                          if port is not None}
+    return dict(ace("svc", matches), actions={"forwarding": forwarding})
+
+
+class TestPairing:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_SERVICES, max_size=6))
+    def test_a_service_translates_alike_from_either_direction_or_both(self, services):
+        def rules(from_device, to_device):
+            text = make_profile([_service_ace(s, True) for s in services] if from_device else [],
+                                [_service_ace(s, False) for s in services] if to_device else [])
+            return translate(parse_profile(text), DEV_MAC, GW_MAC, GW_IP)
+
+        both = rules(True, True)
+        assert rules(True, False) == both
+        assert rules(False, True) == both

@@ -108,12 +108,12 @@ class TestDnsBinding:
         assert len(inserted) == 4  # a.1/a.2 templates x 2 addresses
         assert {e.flow_id for e in inserted} == {"a.1", "a.2"}
 
-    def test_unknown_domain_only_updates_cache(self):
+    def test_unknown_domain_binds_nothing(self):
         sw = make_switch()
-        before = len(sw.dns_cache)
+        before = sw.entry_count("plug")
         inserted = sw.handle_dns_answer("unknown.example", ["203.0.113.9"], 1)
         assert inserted == []
-        assert len(sw.dns_cache) == before + 1
+        assert sw.entry_count("plug") == before
 
     def test_repeated_answer_idempotent(self):
         sw = make_switch()

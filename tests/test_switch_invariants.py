@@ -4,7 +4,9 @@ The property test draws every public switch operation at random, with time
 moving forward. Every packet's disposition is the one the linear-scan
 oracle picks, entry for entry; the tables it runs over hold microflows of
 one 5-tuple under two parents, ICMP and port-wildcard microflows, blocks
-that overlap microflows, and expiry and teardown between packets. After
+that overlap microflows, and expiry and teardown between packets. Block
+labels are drawn from the characters of flow ids, and one holding the
+microflow mark must be refused with the table left as it was. After
 each step the flow tables stay sorted and hold no duplicate reactive entry;
 a microflow insert is refused exactly when it is new and the DNS-bound plus
 microflow entries already fill the table; and at the end the polled
@@ -19,11 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mudmon.errors import TableFullError
+from mudmon.errors import NoDeviceError, SchemaError, TableFullError
 from mudmon.mud import Action, MatchSpec, parse_profile, translate
 from mudmon.switch import (
-    DnsAnswer, FiveTuple, MISS_FLOW_ID, MatchResult, Origin, PacketRecord, SwitchSim,
-    US_PER_SEC)
+    DnsAnswer, FiveTuple, MICROFLOW_MARK, MISS_FLOW_ID, MatchResult, Origin, PacketRecord,
+    SwitchSim, US_PER_SEC)
 
 from oracles import linear_lookup
 from test_mud import DEV_MAC, GW_IP, GW_MAC, LOCAL, ace, make_profile, tplink_like_profile
@@ -36,6 +38,8 @@ DOMAINS = ("pool.ntp.example", "cloud.plug.example", "unknown.example")
 PARENTS = ("i.1", "i.2", "b.2")
 CAPACITY = 6
 REACTIVE = (Origin.MUD_REACTIVE_DNS, Origin.STAGE3_MICROFLOW)
+# Labels over the characters of flow ids: rule ids, addresses, ports and the marks.
+BLOCK_LABELS = st.text(alphabet="abi.0123456789:>/~?", max_size=16)
 
 
 def make_switch():
@@ -179,12 +183,19 @@ def test_random_operations_conserve_counters_and_refuse_at_capacity(data):
         elif op == "block":
             if data.draw(st.booleans()):
                 host = data.draw(st.sampled_from([APP_IP, PEER_IP, *CLOUD_IPS]))
-                sw.insert_block(device_id, MatchSpec(eth_type=0x0800, src_ip=host), host, now)
+                match = MatchSpec(eth_type=0x0800, src_ip=host)
             else:  # one 5-tuple, as stage 3 blocks an anomalous microflow
                 ft = FiveTuple.of(draw_packet())
-                sw.insert_block(device_id, MatchSpec(
-                    eth_type=0x0800, src_ip=ft.src_ip, dst_ip=ft.dst_ip, proto=ft.proto,
-                    src_port=ft.src_port, dst_port=ft.dst_port), str(ft), now)
+                match = MatchSpec(eth_type=0x0800, src_ip=ft.src_ip, dst_ip=ft.dst_ip,
+                                  proto=ft.proto, src_port=ft.src_port, dst_port=ft.dst_port)
+            label = data.draw(BLOCK_LABELS)
+            if MICROFLOW_MARK in label:  # the block's flow id would read as a microflow's
+                before = list(sw.tables[device_id].entries)
+                with pytest.raises(SchemaError):
+                    sw.insert_block(device_id, match, label, now)
+                assert sw.tables[device_id].entries == before
+            else:
+                sw.insert_block(device_id, match, label, now)
         elif op == "expire":
             sw.expire_idle(now)
         elif op == "remove":
@@ -245,7 +256,10 @@ def test_dns_and_arp_drops_block_the_baseline_rules():
     arp = {"eth": {"ethertype": "0x0806"}}
     denies = [dict(ace(name, m), actions={"forwarding": "drop"})
               for name, m in (("dns", dns), ("arp", arp))]
-    rules = translate(parse_profile(make_profile(denies, [])), DEV_MAC, GW_MAC, GW_IP)
+    # A service the answer below would bind, were the reply forwarded.
+    cloud = ace("cloud", {"ipv4": {"protocol": 6, "ietf-acldns:dst-dnsname": "cloud.plug.example"},
+                          "tcp": {"destination-port": {"operator": "eq", "port": 50443}}})
+    rules = translate(parse_profile(make_profile([*denies, cloud], [])), DEV_MAC, GW_MAC, GW_IP)
     sw = SwitchSim()
     sw.register_device("plug", DEV_MAC, rules)
     mirrored = []
@@ -255,8 +269,47 @@ def test_dns_and_arp_drops_block_the_baseline_rules():
                          payload_hint=DnsAnswer("cloud.plug.example", ("93.184.216.34",)))
     disp = sw.process_packet(reply)
     assert disp.matched_flow_id == "f.2" and not disp.forwarded
-    assert mirrored == [] and sw.dns_cache == {}  # a dropped reply binds nothing
+    assert mirrored == []
+    # A dropped reply binds nothing.
+    assert not any(e.origin is Origin.MUD_REACTIVE_DNS for e in sw.tables["plug"].entries)
     who_has = PacketRecord(ts=2, src_mac=DEV_MAC, dst_mac="ff:ff:ff:ff:ff:ff",
                            eth_type=0x0806, length=60)
     disp = sw.process_packet(who_has)
     assert disp.matched_flow_id == "h.2" and not disp.forwarded
+
+
+def test_block_label_holding_the_microflow_mark_is_refused():
+    sw = make_switch()
+    ft = FiveTuple(APP_IP, DEV_IP, 6, 50000, 9999)
+    match = MatchSpec(eth_type=0x0800, src_ip=ft.src_ip, dst_ip=ft.dst_ip, proto=6,
+                      src_port=50000, dst_port=9999)
+    with pytest.raises(SchemaError):
+        sw.insert_block("plug", match, f"i.2~{ft}", 0)
+    assert sw.entry_count("plug") == 16
+    assert sw.insert_block("plug", match, f"i.2@{ft}", 0).flow_id == f"block:i.2@{ft}"
+
+
+def test_re_registering_under_a_new_mac_releases_the_old_one():
+    sw = make_switch()
+    rules = translate(parse_profile(tplink_like_profile()), APP_MAC, GW_MAC, GW_IP)
+    sw.register_device("plug", APP_MAC, rules)
+    assert sw.mac_to_device == {APP_MAC: "plug", PEER_MAC: "peer"}
+    with pytest.raises(NoDeviceError):
+        sw.process_packet(tcp(1, DEV, (GW_MAC, CLOUD_IPS[0]), 40000, 50443, 90))
+
+
+def test_registering_a_mac_another_device_owns_is_refused():
+    sw = make_switch()
+    rules = translate(parse_profile(tplink_like_profile()), DEV_MAC, GW_MAC, GW_IP)
+    with pytest.raises(SchemaError):
+        sw.register_device("cam", DEV_MAC.upper(), rules)
+    assert set(sw.tables) == {"plug", "peer"}
+    assert sw.mac_to_device[DEV_MAC] == "plug"
+
+
+def test_a_template_ranked_with_the_microflow_tier_is_refused():
+    rules = translate(parse_profile(tplink_like_profile()), APP_MAC, GW_MAC, GW_IP)
+    sw = make_switch()
+    with pytest.raises(SchemaError):
+        sw.register_device("cam", APP_MAC, [*rules[:-1], replace(rules[-1], priority=30)])
+    assert set(sw.tables) == {"plug", "peer"} and APP_MAC not in sw.mac_to_device
