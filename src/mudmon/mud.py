@@ -31,6 +31,7 @@ that domain. Every other template is installed as it stands.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -424,7 +425,7 @@ _PAIR_SHAPES: dict[str, tuple[int, Scope, bool, str | None, bool]] = {
 
 
 def _letter_sequence() -> Iterator[str]:
-    for i in range(1000):
+    for i in itertools.count():
         letter = chr(ord("a") + i % 26) + ("" if i < 26 else str(i // 26 + 1))
         if letter not in _RESERVED_LETTERS:
             yield letter

@@ -12,6 +12,9 @@ Four ways to serve N units of one device type:
 Each result carries the training-instance count, plus the per-unit
 accuracy curve for the progressive strategy when an evaluation set is
 supplied. A type model's scope label is ``TYPE_LABEL``.
+
+Units pass the worker's row gate before any training, and must share the
+first unit's width, else ``LayoutMismatchError``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyError
-from .worker import TrainConfig, WorkerModel, train
+from .worker import TrainConfig, WorkerModel, _rows, train
 
 TYPE_LABEL = "type"
 
@@ -71,38 +74,37 @@ def train_strategy(
     strategy = Strategy(strategy)
     if not unit_sets:
         raise EmptyError("need at least one unit")
-    cfg = cfg or TrainConfig()
-    rng = np.random.default_rng(seed)
+    training = _rows(unit_sets[0])
+    units = [training] + [_rows(x, training.shape[1]) for x in unit_sets[1:]]
 
     if strategy is Strategy.PER_UNIT:
         models = [(f"unit{i}", train(x, cfg, seed=seed + i))
-                  for i, x in enumerate(unit_sets)]
+                  for i, x in enumerate(units)]
         return StrategyResult(
             strategy, models,
-            train_instances=sum(len(x) for x in unit_sets))
+            train_instances=sum(len(x) for x in units))
 
     if strategy is Strategy.NAIVE_TYPE:
-        chosen = int(rng.integers(len(unit_sets)))
-        model = train(unit_sets[chosen], cfg, seed=seed)
+        chosen = int(np.random.default_rng(seed).integers(len(units)))
+        model = train(units[chosen], cfg, seed=seed)
         return StrategyResult(
             strategy, [(TYPE_LABEL, model)],
-            train_instances=len(unit_sets[chosen]))
+            train_instances=len(units[chosen]))
 
     if strategy is Strategy.UNIVERSAL_TYPE:
-        pooled = np.vstack(unit_sets)
+        pooled = np.vstack(units)
         model = train(pooled, cfg, seed=seed)
         return StrategyResult(
             strategy, [(TYPE_LABEL, model)],
             train_instances=len(pooled))
 
     # Progressive: grow the training set by misclassified instances only.
-    training = np.array(unit_sets[0], dtype=float, copy=True)
     model = train(training, cfg, seed=seed)
     curve: list[float] = []
     sizes: list[int] = [len(training)]
     if eval_x is not None and eval_y is not None:
         curve.append(_accuracy(model, eval_x, eval_y))
-    for unit_x in unit_sets[1:]:
+    for unit_x in units[1:]:
         flagged = model.predict_batch(unit_x)
         missed = unit_x[flagged]
         if len(missed):

@@ -332,6 +332,13 @@ class SwitchSim:
         self.tables[device_id] = table
         self.mac_to_device[mac] = device_id
 
+    def _table(self, device_id: str) -> _DeviceTable:
+        """The device's table; NoDeviceError if no device has that id."""
+        table = self.tables.get(device_id)
+        if table is None:
+            raise NoDeviceError(f"no registered device {device_id!r}")
+        return table
+
     # -- packet path ------------------------------------------------------
 
     def process_packet(self, pkt: PacketRecord, now: int | None = None) -> Disposition:
@@ -405,7 +412,7 @@ class SwitchSim:
         Raises TableFullError once the reactive entry count reaches capacity;
         sustained insertion pressure is itself a distributed-attack signal.
         """
-        table = self.tables[device_id]
+        table = self._table(device_id)
         flow_id = f"{parent_flow_id}{MICROFLOW_MARK}{five_tuple}"
         live = table.microflows.get(flow_id)
         if live is not None:
@@ -434,7 +441,7 @@ class SwitchSim:
         """
         if MICROFLOW_MARK in label:
             raise SchemaError(f"block label {label!r} holds {MICROFLOW_MARK!r}")
-        table = self.tables[device_id]
+        table = self._table(device_id)
         entry = FlowEntry(
             flow_id=f"{BLOCK_PREFIX}{label}", match=match, priority=PRIORITY_BLOCK,
             action=Action.BLOCK, origin=Origin.MITIGATION_BLOCK,
@@ -445,7 +452,7 @@ class SwitchSim:
     def remove_microflows(self, device_id: str, parent_flow_ids: set[str] | None = None
                           ) -> list[str]:
         """Drop stage-3 microflow entries (all, or those under given parents)."""
-        removed = self.tables[device_id].remove_reactive(
+        removed = self._table(device_id).remove_reactive(
             lambda e: e.origin is Origin.STAGE3_MICROFLOW
             and (parent_flow_ids is None or e.flow_id.split(MICROFLOW_MARK, 1)[0] in parent_flow_ids))
         return [e.flow_id for e in removed]
@@ -453,7 +460,7 @@ class SwitchSim:
     def set_flow_action(self, device_id: str, flow_ids: Iterable[str],
                         action: Action) -> None:
         flow_ids = set(flow_ids)
-        table = self.tables[device_id]
+        table = self._table(device_id)
         for entry in table.entries:
             if entry.flow_id in flow_ids:
                 entry.action = action
@@ -497,5 +504,5 @@ class SwitchSim:
         return records
 
     def entry_count(self, device_id: str) -> int:
-        table = self.tables[device_id]
+        table = self._table(device_id)
         return len(table.above) + len(table.microflows) + len(table.below)

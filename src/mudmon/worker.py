@@ -3,12 +3,12 @@
 Training pipeline: drop zero-variance features, z-score the rest, project
 onto the principal components retained by the Kaiser rule (eigenvalues of
 the correlation matrix above 1), cluster with the Manhattan-metric bisecting
-search (at most ``MAX_CLUSTERS`` clusters), and set each cluster's boundary
-at the ``BOUNDARY_PERCENTILE`` (97.5th) percentile of training distances to
-its head. An optional first-order transition machine flags in-boundary
-observations whose cluster transition was never seen in the time-ordered
-training sequence. ``TrainConfig`` sets only the minimum training rows, the
-detector mode and whether PCA runs.
+search (at most ``MAX_CLUSTERS`` clusters, defined in ``xmeans``), and set
+each cluster's boundary at the ``BOUNDARY_PERCENTILE`` (97.5th) percentile of
+training distances to its head. An optional first-order transition machine
+flags in-boundary observations whose cluster transition was never seen in
+the time-ordered training sequence. ``TrainConfig`` sets only the minimum
+training rows, the detector mode and whether PCA runs.
 
 ``ClusterModel.score`` is the one boundary rule: nearest head, outside when
 the distance exceeds its radius or is NaN (fails closed). ``predict``,
@@ -21,6 +21,11 @@ always-quiet header trains to a zero-radius cluster at the origin. A
 volumetric scope in whose training rows no feature varies (say, EAPOL with
 no traffic) is fitted the same way, so it flags any change instead of
 going unscored.
+
+``_rows`` is the one matrix gate for the fit, ``predict_batch`` and the
+strategies' units: ``SchemaError`` if numpy cannot read a matrix,
+``LayoutMismatchError`` unless it is 2-D with at least one column (and the
+expected width).
 """
 
 from __future__ import annotations
@@ -40,11 +45,10 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .xmeans import xmeans
+from .xmeans import MAX_CLUSTERS, xmeans
 
 MODEL_FORMAT_VERSION = 1
 BOUNDARY_PERCENTILE = 97.5
-MAX_CLUSTERS = 64
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,15 @@ def _as_floats(data) -> np.ndarray:
         return np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"input is not an array of numbers: {exc}") from exc
+
+
+def _rows(data, width: int | None = None) -> np.ndarray:
+    """``data`` as a float matrix with at least one column, ``width`` if given."""
+    x = _as_floats(data)
+    if x.ndim != 2 or x.shape[1] == 0 or width not in (None, x.shape[1]):
+        raise LayoutMismatchError(
+            f"expected rows of {width or 'one or more'} features, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -174,11 +187,7 @@ class WorkerModel:
 
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Boundary-only anomaly mask for a matrix of observations."""
-        x = _as_floats(matrix)
-        if x.ndim != 2 or x.shape[1] != self.n_features_in:
-            raise LayoutMismatchError(
-                f"expected rows of {self.n_features_in} features, got shape {x.shape}")
-        return self.clusters.score(self._embed(x))[2]
+        return self.clusters.score(self._embed(_rows(matrix, self.n_features_in)))[2]
 
     # -- serialization -----------------------------------------------------
 
@@ -261,17 +270,6 @@ class WorkerModel:
         return model
 
 
-def _fit_norm(matrix: np.ndarray, drop_constant: bool) -> NormalizationStats:
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    if drop_constant:
-        kept = np.flatnonzero(std > 0.0)
-        return NormalizationStats(mean[kept], std[kept], kept)
-    kept = np.arange(matrix.shape[1])
-    safe_std = np.where(std > 0.0, std, 1.0)
-    return NormalizationStats(mean, safe_std, kept)
-
-
 def _fit_pca(z: np.ndarray) -> PcaBasis:
     corr = np.cov(z, rowvar=False, bias=True)
     corr = np.atleast_2d(corr)
@@ -317,23 +315,22 @@ def _fit(matrix: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool,
     scale and PCA is skipped. ``width``, if given, is the required number
     of columns.
     """
-    x = _as_floats(matrix)
-    if x.ndim != 2 or x.shape[1] == 0 or width not in (None, x.shape[1]):
-        raise LayoutMismatchError(f"training rows of shape {x.shape} do not fit")
+    x = _rows(matrix, width)
     if not np.isfinite(x).all():
         raise SchemaError("training matrix holds a NaN or infinite value")
     need = max(cfg.min_train_rows, 1)
     if len(x) < need:
         raise InsufficientDataError(f"{len(x)} rows < required {need}")
-    reduce = reduce and bool(np.any(x.std(axis=0) > 0.0))
-
-    norm = _fit_norm(x, drop_constant=reduce)
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    varying = std > 0.0
+    reduce = reduce and bool(varying.any())
+    kept = np.flatnonzero(varying) if reduce else np.arange(x.shape[1])
+    norm = NormalizationStats(mean[kept], np.where(varying, std, 1.0)[kept], kept)
     z = norm.transform(x)
     pca = _fit_pca(z) if reduce and cfg.use_pca else None
     points = pca.project(z) if pca is not None else z
-    result = xmeans(points, seed=seed, k_max=MAX_CLUSTERS)
-    radii = _fit_boundaries(points, result.labels, result.heads)
-    clusters = ClusterModel(result.heads, radii)
+    labels, heads = xmeans(points, seed=seed, k_max=MAX_CLUSTERS)
+    clusters = ClusterModel(heads, _fit_boundaries(points, labels, heads))
     machine = None
     if cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE:
         machine = _fit_machine(points, clusters)

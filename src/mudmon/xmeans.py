@@ -8,13 +8,16 @@ zero so duplicate-heavy subsets behave.
 
 Everything is deterministic for a fixed seed: splits are attempted in FIFO
 order and initialization draws from an explicit generator.
+
+``xmeans`` returns ``(labels, heads)`` as ``kmedians`` does, and trusts its
+caller (the worker's row gate) for a nonempty 2-D float matrix.
+``MAX_CLUSTERS``, the default ``k_max``, is defined here only.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -22,6 +25,7 @@ from scipy.spatial.distance import cdist
 _VARIANCE_FLOOR = 1e-12
 _MAX_ITER = 100
 _SHIFT_TOL = 1e-9
+MAX_CLUSTERS = 64
 
 
 def kmedians(points: np.ndarray, init_heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,27 +68,15 @@ def bic_score(points: np.ndarray, labels: np.ndarray, heads: np.ndarray) -> floa
     sse = float(np.sum(diffs * diffs))
     var = max(sse / (d * (n - k)), _VARIANCE_FLOOR)
     loglik = -0.5 * n * d * math.log(2.0 * math.pi * var) - 0.5 * d * (n - k)
-    for j in range(k):
-        nj = int(np.sum(labels == j))
+    for nj in np.bincount(labels, minlength=k).tolist():
         if nj > 0:
             loglik += nj * math.log(nj / n)
     params = k * (d + 1)
     return loglik - 0.5 * params * math.log(n)
 
 
-@dataclass
-class XMeansResult:
-    heads: np.ndarray  # (k, d)
-    labels: np.ndarray  # (n,)
-
-    @property
-    def k(self) -> int:
-        return self.heads.shape[0]
-
-
-def _split_init(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _split_init(points: np.ndarray, center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Two starting heads: the subset median nudged along a random direction."""
-    center = np.median(points, axis=0)
     spread = np.mean(np.abs(points - center), axis=0)
     if float(spread.max(initial=0.0)) <= 0.0:
         return np.vstack([center, center])
@@ -97,45 +89,44 @@ def _split_init(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([center - delta, center + delta])
 
 
-def xmeans(points: np.ndarray, seed: int, k_max: int = 64) -> XMeansResult:
+def _split(subset: np.ndarray, head: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+    """Child labels of a 2-way split of ``subset`` if it raises the BIC, else None.
+
+    ``head`` is the subset median. Under four rows or one repeated row, None.
+    """
+    if len(subset) < 4 or not np.any(subset != subset[0]):
+        return None
+    labels, heads = kmedians(subset, _split_init(subset, head, rng))
+    if np.bincount(labels, minlength=2).min() == 0:
+        return None
+    parent_bic = bic_score(subset, np.zeros(len(subset), dtype=np.intp), head[None, :])
+    return labels if bic_score(subset, labels, heads) > parent_bic + 1e-9 else None
+
+
+def xmeans(points: np.ndarray, seed: int, k_max: int = MAX_CLUSTERS
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Find a cluster count by recursive BIC-scored bisection.
 
     Starts from one cluster and repeatedly attempts a 2-way split of each
     cluster, keeping splits that improve the subset BIC, until no split
-    helps or ``k_max`` is reached.
+    helps or ``k_max`` is reached. Returns (labels, heads).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError("points must be a nonempty 2-D array")
     rng = np.random.default_rng(seed)
-
     final: list[tuple[np.ndarray, np.ndarray]] = []  # (indices, head)
     queue = deque([np.arange(len(points))])
-    total = 1
     while queue:
         idx = queue.popleft()
         subset = points[idx]
         head = np.median(subset, axis=0)
-        if len(idx) < 4 or not np.any(subset != subset[0]) or total >= k_max:
+        # Clusters so far: the finished ones, the queued ones and this one.
+        children = None if len(final) + len(queue) + 1 >= k_max else _split(subset, head, rng)
+        if children is None:
             final.append((idx, head))
-            continue
-        child_labels, child_heads = kmedians(subset, _split_init(subset, rng))
-        sizes = [int(np.sum(child_labels == j)) for j in range(2)]
-        if min(sizes) == 0:
-            final.append((idx, head))
-            continue
-        parent_bic = bic_score(subset, np.zeros(len(subset), dtype=np.intp),
-                               head[None, :])
-        split_bic = bic_score(subset, child_labels, child_heads)
-        if split_bic > parent_bic + 1e-9:
-            total += 1
-            queue.append(idx[child_labels == 0])
-            queue.append(idx[child_labels == 1])
         else:
-            final.append((idx, head))
+            queue.append(idx[children == 0])
+            queue.append(idx[children == 1])
 
-    heads = np.vstack([h for _, h in final])
     labels = np.empty(len(points), dtype=np.intp)
     for j, (idx, _) in enumerate(final):
         labels[idx] = j
-    return XMeansResult(heads=heads, labels=labels)
+    return labels, np.vstack([h for _, h in final])

@@ -39,36 +39,53 @@ def two_blobs(n=400, seed=0, spread=0.5, centers=((0.0, 0.0), (12.0, 12.0))):
 class TestXmeans:
     def test_two_blobs_found(self):
         pts = two_blobs()
-        result = xmeans(pts, seed=1)
-        assert result.k == 2
+        _, heads = xmeans(pts, seed=1)
+        assert len(heads) == 2
 
     def test_matches_exhaustive_oracle(self):
         for seed in (0, 1, 2):
             pts = two_blobs(seed=seed)
-            assert xmeans(pts, seed=5).k == exhaustive_best_k(pts, seed=5)
+            assert len(xmeans(pts, seed=5)[1]) == exhaustive_best_k(pts, seed=5)
 
     def test_single_blob_stays_single(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(0, 1, size=(300, 3))
-        assert xmeans(pts, seed=0).k == 1
+        assert len(xmeans(pts, seed=0)[1]) == 1
 
     def test_identical_points_never_split(self):
         pts = np.ones((50, 4))
-        assert xmeans(pts, seed=0).k == 1
+        assert len(xmeans(pts, seed=0)[1]) == 1
 
     def test_k_max_respected(self):
         rng = np.random.default_rng(3)
         centers = rng.uniform(0, 100, size=(10, 2))
         pts = np.vstack([c + rng.normal(0, 0.1, size=(30, 2)) for c in centers])
-        result = xmeans(pts, seed=0, k_max=4)
-        assert result.k <= 4
+        _, heads = xmeans(pts, seed=0, k_max=4)
+        assert len(heads) <= 4
 
     def test_deterministic_for_seed(self):
         pts = two_blobs(seed=4)
-        a = xmeans(pts, seed=9)
-        b = xmeans(pts, seed=9)
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.heads, b.heads)
+        a_labels, a_heads = xmeans(pts, seed=9)
+        b_labels, b_heads = xmeans(pts, seed=9)
+        assert np.array_equal(a_labels, b_labels)
+        assert np.array_equal(a_heads, b_heads)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                  elements=st.one_of(st.integers(-3, 3).map(float),
+                                     st.floats(-1e3, 1e3))),
+           st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_labels_partition_rows_around_median_heads(self, pts, seed, k_max):
+        labels, heads = xmeans(pts, seed=seed, k_max=k_max)
+        assert labels.shape == (len(pts),)
+        assert 1 <= len(heads) <= k_max
+        # Every row has one label and every cluster has a member.
+        assert np.array_equal(np.unique(labels), np.arange(len(heads)))
+        for j, head in enumerate(heads):
+            assert np.array_equal(head, np.median(pts[labels == j], axis=0))
+        again_labels, again_heads = xmeans(pts, seed=seed, k_max=k_max)
+        assert np.array_equal(again_labels, labels)
+        assert np.array_equal(again_heads, heads)
 
     def test_kmedians_heads_are_medians(self):
         pts = np.array([[0.0], [1.0], [2.0], [100.0], [101.0], [102.0]])

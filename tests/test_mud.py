@@ -264,6 +264,16 @@ class TestTranslate:
             assert rule.action is (Action.BLOCK if rule.flow_id in covering else ok.action)
             assert ok.action is not Action.BLOCK
 
+    def test_letters_never_run_out(self):
+        aces = [ace(f"svc{i}", {"ipv4": {"protocol": 6},
+                                "tcp": {"destination-port": {"operator": "eq", "port": 1000 + i}},
+                                **LOCAL}) for i in range(1000)]
+        rules = translate(parse_profile(make_profile(aces, [])), DEV_MAC, GW_MAC, GW_IP)
+        ids = [r.flow_id for r in rules]
+        assert len(ids) == len(set(ids))
+        groups = {r.group for r in rules if r.role is RuleRole.SERVICE}
+        assert len(groups) == 1000 and not groups & set("cdfghk")
+
     def test_plug_profile_matches_reference_structure(self):
         profile = parse_profile(tplink_like_profile())
         rules = translate(profile, DEV_MAC, GW_MAC, GW_IP)

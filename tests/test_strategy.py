@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mudmon.errors import EmptyError
+from mudmon.errors import EmptyError, LayoutMismatchError, MudmonError
 from mudmon.strategy import Strategy, train_strategy
 from mudmon.worker import TrainConfig
 
@@ -9,6 +12,22 @@ from oracles import make_unit_datasets
 
 
 CFG = TrainConfig(min_train_rows=50)
+
+_VALUES = st.one_of(st.integers(-3, 3).map(float),
+                    st.sampled_from([float("nan"), float("inf")]))
+_MATRIX = arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(0, 3)),
+                 elements=_VALUES)
+_VECTOR = arrays(np.float64, st.integers(0, 8), elements=_VALUES)
+# Matrices of any width (zero columns included) holding NaN and inf too,
+# 1-D and 3-D arrays, nested lists (ragged ones too) and strings.
+_UNIT = st.one_of(
+    _MATRIX,
+    _VECTOR,
+    arrays(np.float64, st.tuples(*[st.integers(1, 3)] * 3), elements=_VALUES),
+    _MATRIX.map(lambda x: x.tolist()),
+    st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=6),
+    st.text(max_size=4),
+)
 
 
 class TestStrategies:
@@ -75,3 +94,26 @@ class TestStrategies:
         uni = train_strategy(units, Strategy.UNIVERSAL_TYPE, CFG, seed=0)
         uni_acc = np.mean(uni.models[0][1].predict_batch(ex) == (ey == 1))
         assert curve[-1] >= uni_acc - 0.02
+
+
+class TestUnitsFailClosed:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_UNIT, min_size=1, max_size=4), st.sampled_from(list(Strategy)))
+    @example([np.zeros((4, 3)), np.zeros((4, 4))], Strategy.UNIVERSAL_TYPE)
+    @example([[[1.0, 2.0]] * 4, [[1.0, 2.0]] * 4], Strategy.PROGRESSIVE_TYPE)
+    @example(["ab", "cd"], Strategy.PROGRESSIVE_TYPE)
+    def test_returns_or_raises_mudmon_error(self, units, strategy):
+        try:
+            train_strategy(units, strategy, TrainConfig(min_train_rows=2))
+        except MudmonError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(arrays(np.float64, (4, 2), elements=st.integers(-3, 3).map(float)),
+                    max_size=3),
+           _VECTOR, st.integers(0, 3), st.sampled_from(list(Strategy)))
+    @example([np.arange(3.0)] * 2, np.arange(3.0), 0, Strategy.UNIVERSAL_TYPE)
+    def test_one_d_unit_raises_layout_mismatch(self, units, vector, at, strategy):
+        units.insert(at, vector)
+        with pytest.raises(LayoutMismatchError):
+            train_strategy(units, strategy, TrainConfig(min_train_rows=2))

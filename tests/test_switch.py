@@ -1,7 +1,7 @@
 import pytest
 
 from mudmon.errors import NoDeviceError, TableFullError
-from mudmon.mud import Action, parse_profile, translate
+from mudmon.mud import Action, MatchSpec, parse_profile, translate
 from mudmon.switch import (
     DnsAnswer,
     FiveTuple,
@@ -89,6 +89,21 @@ class TestMatching:
             sw.process_packet(tcp_pkt(1, APP_MAC, "02:00:00:00:00:aa",
                                       APP_IP, "192.168.1.55", 1, 2))
         assert sw.dropped_packets == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda sw: sw.insert_microflow("ghost", FiveTuple(APP_IP, DEV_IP, 6, 1, 2), "i.2", 1),
+        lambda sw: sw.insert_block("ghost", MatchSpec(src_ip=APP_IP), "x", 1),
+        lambda sw: sw.remove_microflows("ghost"),
+        lambda sw: sw.set_flow_action("ghost", ["i.1"], Action.BLOCK),
+        lambda sw: sw.entry_count("ghost"),
+    ], ids=["insert_microflow", "insert_block", "remove_microflows", "set_flow_action",
+            "entry_count"])
+    def test_unknown_device_id_raises_no_device(self, call):
+        sw = make_switch()
+        before = [(e.flow_id, e.action) for e in sw.tables["plug"].entries]
+        with pytest.raises(NoDeviceError):
+            call(sw)
+        assert [(e.flow_id, e.action) for e in sw.tables["plug"].entries] == before
 
     def test_local_unmatched_from_device_counts_miss(self):
         sw = make_switch()
