@@ -210,9 +210,6 @@ class VolumetricExtractor:
             out.append(VolumetricFeatureVector(self.device_id, scope, ts_min, tuple(vals)))
         return out
 
-    def device_feature_count(self) -> int:
-        return len(self.rule_ids) * self.layout.per_rule_count()
-
 
 # ---------------------------------------------------------------------------
 # Dispersion features

@@ -14,7 +14,8 @@ accuracy curve for the progressive strategy when an evaluation set is
 supplied. A type model's scope label is ``TYPE_LABEL``.
 
 Units pass the worker's row gate before any training, and must share the
-first unit's width, else ``LayoutMismatchError``.
+first unit's width, else ``LayoutMismatchError``. So must the evaluation
+rows, which come with one label each or not at all.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyError
-from .worker import TrainConfig, WorkerModel, _rows, train
+from .errors import EmptyError, LayoutMismatchError
+from .worker import TrainConfig, WorkerModel, _as_floats, _rows, train
 
 TYPE_LABEL = "type"
 
@@ -70,12 +71,21 @@ def train_strategy(
     ``unit_sets`` holds one time-ordered benign matrix per unit. All
     randomized steps (unit choice, cluster init) derive from ``seed``.
     ``strategy`` may be given by value; an unknown one raises ValueError.
+    ``eval_x`` and ``eval_y`` (one 0/1 label per row) come together or not
+    at all.
     """
     strategy = Strategy(strategy)
     if not unit_sets:
         raise EmptyError("need at least one unit")
     training = _rows(unit_sets[0])
     units = [training] + [_rows(x, training.shape[1]) for x in unit_sets[1:]]
+    if (eval_x is None) != (eval_y is None):
+        raise LayoutMismatchError("eval_x and eval_y come together or not at all")
+    if eval_x is not None:
+        eval_x, eval_y = _rows(eval_x, training.shape[1]), _as_floats(eval_y)
+        if eval_y.shape != (len(eval_x),):
+            raise LayoutMismatchError(
+                f"expected {len(eval_x)} evaluation labels, got shape {eval_y.shape}")
 
     if strategy is Strategy.PER_UNIT:
         models = [(f"unit{i}", train(x, cfg, seed=seed + i))
@@ -102,7 +112,7 @@ def train_strategy(
     model = train(training, cfg, seed=seed)
     curve: list[float] = []
     sizes: list[int] = [len(training)]
-    if eval_x is not None and eval_y is not None:
+    if eval_x is not None:
         curve.append(_accuracy(model, eval_x, eval_y))
     for unit_x in units[1:]:
         flagged = model.predict_batch(unit_x)
@@ -111,7 +121,7 @@ def train_strategy(
             training = np.vstack([training, missed])
             model = train(training, cfg, seed=seed)
         sizes.append(len(training))
-        if eval_x is not None and eval_y is not None:
+        if eval_x is not None:
             curve.append(_accuracy(model, eval_x, eval_y))
     return StrategyResult(
         Strategy.PROGRESSIVE_TYPE, [(TYPE_LABEL, model)],

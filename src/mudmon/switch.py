@@ -167,10 +167,6 @@ class Disposition:
     forwarded: bool
     mirrored: bool
 
-    @property
-    def matched_flow_id(self) -> str | None:
-        return self.matches[0].flow_id if self.matches else None
-
 
 def _rank(entry: FlowEntry) -> tuple[int, int]:
     return -entry.priority, entry.seq

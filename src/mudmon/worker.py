@@ -5,16 +5,12 @@ onto the principal components retained by the Kaiser rule (eigenvalues of
 the correlation matrix above 1), cluster with the Manhattan-metric bisecting
 search (at most ``MAX_CLUSTERS`` clusters, defined in ``xmeans``), and set
 each cluster's boundary at the ``BOUNDARY_PERCENTILE`` (97.5th) percentile of
-training distances to its head. An optional first-order transition machine
-flags in-boundary observations whose cluster transition was never seen in
-the time-ordered training sequence. ``TrainConfig`` sets only the minimum
-training rows, the detector mode and whether PCA runs.
+training distances to its head. ``TrainConfig`` sets only the minimum
+training rows and whether PCA runs.
 
 ``ClusterModel.score`` is the one boundary rule: nearest head, outside when
-the distance exceeds its radius or is NaN (fails closed). ``predict``,
-``predict_batch`` and the machine fit all use it. ``predict(vector,
-prev_state)`` is pure: it returns a verdict and the next stream state,
-advancing state only on in-boundary observations.
+the distance exceeds its radius or is NaN (fails closed). ``predict`` and
+``predict_batch`` both use it.
 Dispersion workers reuse the same machinery on raw 4-epoch entropy windows,
 skipping PCA and keeping constant features (centered, unit scale) so an
 always-quiet header trains to a zero-radius cluster at the origin. A
@@ -33,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -45,9 +40,9 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .xmeans import MAX_CLUSTERS, xmeans
+from .xmeans import xmeans
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 BOUNDARY_PERCENTILE = 97.5
 
 
@@ -64,15 +59,7 @@ class NormalizationStats:
 @dataclass(frozen=True)
 class PcaBasis:
     components: np.ndarray  # (k, d) orthonormal rows
-    eigenvalues: np.ndarray  # all d, descending
     retained: int
-
-    @property
-    def coverage(self) -> float:
-        total = float(self.eigenvalues.sum())
-        if total <= 0:
-            return 1.0
-        return float(self.eigenvalues[: self.retained].sum()) / total
 
     def project(self, z: np.ndarray) -> np.ndarray:
         return z @ self.components.T
@@ -112,30 +99,8 @@ class ClusterModel:
 
 
 @dataclass(frozen=True)
-class TransitionMachine:
-    allowed: frozenset[tuple[int, int]]
-
-    def permits(self, prev: int | None, cur: int) -> bool:
-        if prev is None:
-            return True
-        return (prev, cur) in self.allowed
-
-
-class DetectorMode(str, Enum):
-    BOUNDARY_ONLY = "boundary_only"
-    BOUNDARY_PLUS_STATE_MACHINE = "boundary_plus_state_machine"
-
-
-class Reason(str, Enum):
-    NONE = "none"
-    OUTSIDE_BOUNDARY = "outside_boundary"
-    ILLEGAL_TRANSITION = "illegal_transition"
-
-
-@dataclass(frozen=True)
 class Verdict:
     anomalous: bool
-    reason: Reason
     cluster_id: int
     distance: float
 
@@ -143,11 +108,7 @@ class Verdict:
 @dataclass
 class TrainConfig:
     min_train_rows: int = 1000
-    detector_mode: DetectorMode = DetectorMode.BOUNDARY_ONLY
     use_pca: bool = True
-
-    def __post_init__(self):
-        self.detector_mode = DetectorMode(self.detector_mode)
 
     @staticmethod
     def small(**overrides) -> "TrainConfig":
@@ -160,7 +121,6 @@ class WorkerModel:
     norm: NormalizationStats
     pca: PcaBasis | None
     clusters: ClusterModel
-    machine: TransitionMachine | None
     n_features_in: int
 
     # -- scoring ----------------------------------------------------------
@@ -171,22 +131,22 @@ class WorkerModel:
 
     def predict(self, vector: Sequence[float], prev_state: int | None = None
                 ) -> tuple[Verdict, int | None]:
-        """Score one observation; returns (verdict, next stream state)."""
+        """Score one observation; returns ``(verdict, prev_state)``.
+
+        The verdict depends on ``vector`` alone: ``prev_state`` is never
+        read and comes back as given. The pair remains only because the
+        benchmark pipeline threads a per-scope state (``DeviceState.prev``)
+        through each call; dropping that state there retires the argument.
+        """
         x = _as_floats(vector)
         if x.shape != (self.n_features_in,):
             raise LayoutMismatchError(
                 f"expected {self.n_features_in} features, got {x.shape}")
         labels, dists, outside = self.clusters.score(self._embed(x)[None])
-        cluster = int(labels[0])
-        distance = float(dists[0])
-        if outside[0]:
-            return Verdict(True, Reason.OUTSIDE_BOUNDARY, cluster, distance), prev_state
-        if self.machine is not None and not self.machine.permits(prev_state, cluster):
-            return Verdict(True, Reason.ILLEGAL_TRANSITION, cluster, distance), cluster
-        return Verdict(False, Reason.NONE, cluster, distance), cluster
+        return Verdict(bool(outside[0]), int(labels[0]), float(dists[0])), prev_state
 
     def predict_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """Boundary-only anomaly mask for a matrix of observations."""
+        """Anomaly mask for a matrix of observations, by ``predict``'s rule."""
         return self.clusters.score(self._embed(_rows(matrix, self.n_features_in)))[2]
 
     # -- serialization -----------------------------------------------------
@@ -202,15 +162,12 @@ class WorkerModel:
             },
             "pca": None if self.pca is None else {
                 "components": self.pca.components.tolist(),
-                "eigenvalues": self.pca.eigenvalues.tolist(),
                 "retained": self.pca.retained,
             },
             "clusters": {
                 "heads": self.clusters.heads.tolist(),
                 "radii": self.clusters.radii.tolist(),
             },
-            "transitions": (sorted(self.machine.allowed)
-                            if self.machine is not None else None),
         }
         return json.dumps(doc)
 
@@ -218,11 +175,12 @@ class WorkerModel:
     def from_json(text: str) -> "WorkerModel":
         """Load a ``to_json`` document.
 
-        Raises ParseError for malformed JSON and SchemaError for another
-        version, a non-finite number, or a document whose fields or array
-        shapes do not fit. Keys this format no longer writes
-        (``detector_mode``, ``trained_rows``, ``norm.n_features_in``) are
-        ignored.
+        Format 2 holds the normalisation, the retained PCA components (or
+        null) and each cluster's head and radius: all the boundary rule
+        reads. Raises ParseError for malformed JSON and SchemaError for
+        another version (version 1 included), a non-finite number, or a
+        document whose fields or array shapes do not fit. Keys the format
+        does not read are ignored.
         """
         try:
             doc = json.loads(text)
@@ -239,21 +197,16 @@ class WorkerModel:
             if doc["pca"] is not None:
                 pca = PcaBasis(
                     components=np.array(doc["pca"]["components"], dtype=float),
-                    eigenvalues=np.array(doc["pca"]["eigenvalues"], dtype=float),
                     retained=doc["pca"]["retained"])
             clusters = ClusterModel(
                 heads=np.array(doc["clusters"]["heads"], dtype=float),
                 radii=np.array(doc["clusters"]["radii"], dtype=float))
-            machine = None
-            if doc["transitions"] is not None:
-                machine = TransitionMachine(
-                    frozenset((int(a), int(b)) for a, b in doc["transitions"]))
             model = WorkerModel(
-                norm=norm, pca=pca, clusters=clusters, machine=machine,
+                norm=norm, pca=pca, clusters=clusters,
                 n_features_in=doc["n_features_in"])
             width = len(norm.kept) if pca is None else pca.retained
             floats = [norm.mean, norm.std, clusters.heads, clusters.radii] + (
-                [] if pca is None else [pca.components, pca.eigenvalues])
+                [] if pca is None else [pca.components])
             fits = (isinstance(model.n_features_in, int) and isinstance(width, int)
                     and all(np.isfinite(a).all() for a in floats)
                     and norm.kept.ndim == 1
@@ -280,8 +233,7 @@ def _fit_pca(z: np.ndarray) -> PcaBasis:
     retained = int(np.sum(eigvals > 1.0))
     # A training set with no dominant direction still needs one usable axis.
     retained = max(retained, 1)
-    return PcaBasis(components=eigvecs[:, :retained].T.copy(),
-                    eigenvalues=eigvals.copy(), retained=retained)
+    return PcaBasis(components=eigvecs[:, :retained].T.copy(), retained=retained)
 
 
 def _fit_boundaries(points: np.ndarray, labels: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -293,17 +245,6 @@ def _fit_boundaries(points: np.ndarray, labels: np.ndarray, heads: np.ndarray) -
         if len(member):
             radii[j] = np.percentile(member, BOUNDARY_PERCENTILE, method="linear")
     return radii
-
-
-def _fit_machine(points: np.ndarray, clusters: ClusterModel) -> TransitionMachine:
-    """First-order transitions from the time-ordered training sequence.
-
-    Stream state only advances on in-boundary points and takes the cluster
-    ``predict`` assigns, so replaying the training rows is always legal.
-    """
-    labels, _, outside = clusters.score(points)
-    states = labels[~outside].tolist()
-    return TransitionMachine(frozenset(zip(states, states[1:])))
 
 
 def _fit(matrix: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool,
@@ -329,13 +270,9 @@ def _fit(matrix: np.ndarray, cfg: TrainConfig, seed: int, reduce: bool,
     z = norm.transform(x)
     pca = _fit_pca(z) if reduce and cfg.use_pca else None
     points = pca.project(z) if pca is not None else z
-    labels, heads = xmeans(points, seed=seed, k_max=MAX_CLUSTERS)
+    labels, heads = xmeans(points, seed=seed)
     clusters = ClusterModel(heads, _fit_boundaries(points, labels, heads))
-    machine = None
-    if cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE:
-        machine = _fit_machine(points, clusters)
-    return WorkerModel(norm=norm, pca=pca, clusters=clusters, machine=machine,
-                       n_features_in=x.shape[1])
+    return WorkerModel(norm=norm, pca=pca, clusters=clusters, n_features_in=x.shape[1])
 
 
 def train(matrix: np.ndarray, cfg: TrainConfig | None = None, seed: int = 0

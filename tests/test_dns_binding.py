@@ -38,7 +38,7 @@ def test_answer_after_set_flow_action_installs_the_new_action():
     assert all(e.action is Action.FORWARD_AND_MIRROR for e in inserted)
     disp = sw.process_packet(tcp_pkt(2 * US_PER_SEC, DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP,
                                      40000, 50443))
-    assert disp.matched_flow_id == "b.2" and disp.mirrored
+    assert disp.matches[0].flow_id == "b.2" and disp.mirrored
 
     sw.set_flow_action("plug", ["b.1", "b.2"], Action.FORWARD)
     inserted = sw.handle_dns_answer(CLOUD, ["198.51.100.7"], 3 * US_PER_SEC)
@@ -65,7 +65,7 @@ def test_src_dnsname_template_binds_src_ip():
     assert (outbound.dst_ip, outbound.dst_domain, outbound.src_ip) == ("198.51.100.1", None, None)
     reply = replace(tcp_pkt(2, GW_MAC, DEV_MAC, "198.51.100.1", DEV_IP, 123, 40000),
                     proto=17)
-    assert sw.process_packet(reply).matched_flow_id == "a.1"
+    assert sw.process_packet(reply).matches[0].flow_id == "a.1"
 
 
 def test_re_answer_refreshes_then_reinserts_after_idle_expiry():

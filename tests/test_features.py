@@ -89,8 +89,9 @@ class TestVolumetric:
         return FlowCounterRecord(ts, "plug", flow, pkts, byts)
 
     def test_device_feature_count_is_340(self):
-        ext = VolumetricExtractor("plug", plug_rules(), FeatureLayout(FeatureSet.FS3, 4))
-        assert ext.device_feature_count() == 340
+        layout = FeatureLayout(FeatureSet.FS3, 4)
+        ext = VolumetricExtractor("plug", plug_rules(), layout)
+        assert len(ext.rule_ids) * layout.per_rule_count() == 340
         assert len(ext.rule_ids) == 17
 
     def test_steady_state_pair_matches_oracle(self):

@@ -16,14 +16,7 @@ from mudmon.errors import (
     ParseError,
     SchemaError,
 )
-from mudmon.worker import (
-    DetectorMode,
-    Reason,
-    TrainConfig,
-    WorkerModel,
-    train,
-    train_dispersion,
-)
+from mudmon.worker import TrainConfig, WorkerModel, train, train_dispersion
 from mudmon.xmeans import bic_score, kmedians, xmeans
 
 from oracles import exhaustive_best_k, rand_index
@@ -34,6 +27,11 @@ def two_blobs(n=400, seed=0, spread=0.5, centers=((0.0, 0.0), (12.0, 12.0))):
     rng = np.random.default_rng(seed)
     parts = [c + rng.normal(0, spread, size=(n // len(centers), 2)) for c in centers]
     return np.vstack(parts)
+
+
+def correlation_eigenvalues(x):
+    """Eigenvalues of the correlation matrix of ``x``'s columns, descending."""
+    return np.linalg.eigvalsh(np.corrcoef(x, rowvar=False))[::-1]
 
 
 class TestXmeans:
@@ -107,8 +105,9 @@ class TestTrain:
         model = train(x, TrainConfig.small(), seed=0)
         assert model.pca.retained == 1
         # z-scored pair has correlation eigenvalues {2, 0}
-        assert model.pca.eigenvalues[0] == pytest.approx(2.0, abs=1e-9)
-        assert model.pca.coverage == pytest.approx(1.0)
+        eig = correlation_eigenvalues(x)
+        assert eig[0] == pytest.approx(2.0, abs=1e-9)
+        assert eig[:model.pca.retained].sum() / eig.sum() == pytest.approx(1.0)
 
     def test_small_config_rejects_unknown_override(self):
         with pytest.raises(TypeError):
@@ -145,8 +144,9 @@ class TestTrain:
         c = model.pca.components
         gram = c @ c.T
         assert np.abs(gram - np.eye(len(gram))).max() <= 1e-9
-        assert model.pca.retained == int(np.sum(model.pca.eigenvalues > 1.0))
-        assert model.pca.coverage >= 0.9
+        eig = correlation_eigenvalues(x)
+        assert model.pca.retained == int(np.sum(eig > 1.0))
+        assert eig[:model.pca.retained].sum() / eig.sum() >= 0.9
 
     def test_boundary_calibration_fraction(self):
         x = two_blobs(n=2000, seed=5)
@@ -175,7 +175,7 @@ class TestPredict:
         # Far along the represented variance direction (components discard
         # directions the training data never exercised).
         v, _ = model.predict(x.max(axis=0) * 10.0)
-        assert v.anomalous and v.reason is Reason.OUTSIDE_BOUNDARY
+        assert v.anomalous
 
     def test_layout_mismatch(self):
         model = train(two_blobs(), TrainConfig.small(), seed=0)
@@ -185,8 +185,17 @@ class TestPredict:
     def test_nan_feature_fails_closed(self):
         model = train(two_blobs(), TrainConfig.small(), seed=0)
         v, state = model.predict([float("nan"), 0.0], prev_state=7)
-        assert v.anomalous and v.reason is Reason.OUTSIDE_BOUNDARY
+        assert v.anomalous
         assert state == 7
+
+    def test_predict_hands_back_the_state_it_was_given(self):
+        x = two_blobs()
+        model = train(x, TrainConfig.small(), seed=0)
+        far = x.max(axis=0) * 10.0
+        for state in (None, 0, 1, 7):
+            for row in (x[0], x[-1], far):
+                _, after = model.predict(row, prev_state=state)
+                assert after is state
 
     def test_nan_row_flagged_in_batch(self):
         x = two_blobs()
@@ -194,63 +203,14 @@ class TestPredict:
         rows = np.vstack([x[:200].mean(axis=0), [0.0, float("nan")]])
         assert model.predict_batch(rows).tolist() == [False, True]
 
-    def test_illegal_transition_flagged(self):
-        # Cluster A for 50 minutes then cluster B for 50: only A->A, A->B,
-        # B->B are legal; B->A was never observed.
-        rng = np.random.default_rng(0)
-        a = rng.normal(0, 0.3, size=(50, 2))
-        b = rng.normal(10, 0.3, size=(50, 2))
-        x = np.vstack([a, b])
-        cfg = TrainConfig.small(detector_mode=DetectorMode.BOUNDARY_PLUS_STATE_MACHINE,
-                                use_pca=False)
-        model = train(x, cfg, seed=0)
-        assert model.clusters.heads.shape[0] == 2
-        v1, state = model.predict(a[0], prev_state=None)
-        assert not v1.anomalous
-        v2, state = model.predict(b[0], prev_state=state)
-        assert not v2.anomalous  # A->B seen in training
-        v3, state = model.predict(a[1], prev_state=state)
-        assert v3.anomalous and v3.reason is Reason.ILLEGAL_TRANSITION
-
-    def test_state_not_advanced_on_outlier(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(0, 0.3, size=(60, 2))
-        b = rng.normal(10, 0.3, size=(60, 2))
-        x = np.vstack([a, b])
-        cfg = TrainConfig.small(detector_mode=DetectorMode.BOUNDARY_PLUS_STATE_MACHINE,
-                                use_pca=False)
-        model = train(x, cfg, seed=0)
-        _, state = model.predict(a[0], prev_state=None)
-        v, state2 = model.predict(np.array([500.0, 500.0]), prev_state=state)
-        assert v.anomalous and state2 == state
-
-    def test_boundary_only_subset_of_state_machine_alarms(self):
-        rng = np.random.default_rng(2)
-        x = np.vstack([rng.normal(0, 0.5, size=(80, 2)),
-                       rng.normal(8, 0.5, size=(80, 2))])
-        bd = train(x, TrainConfig.small(use_pca=False), seed=0)
-        sm = train(x, TrainConfig.small(
-            detector_mode=DetectorMode.BOUNDARY_PLUS_STATE_MACHINE, use_pca=False), seed=0)
-        stream = rng.normal(4, 4.0, size=(100, 2))
-        state = None
-        for row in stream:
-            vb, _ = bd.predict(row)
-            vs, state = sm.predict(row, prev_state=state)
-            if vb.anomalous:
-                assert vs.anomalous
-
     def test_serialization_roundtrip_preserves_predictions(self):
         x = two_blobs(seed=6)
-        cfg = TrainConfig.small(detector_mode=DetectorMode.BOUNDARY_PLUS_STATE_MACHINE)
-        model = train(x, cfg, seed=0)
+        model = train(x, TrainConfig.small(), seed=0)
         clone = WorkerModel.from_json(model.to_json())
         rng = np.random.default_rng(0)
         probes = rng.uniform(-20, 30, size=(200, 2))
-        state_a = state_b = None
         for row in probes:
-            va, state_a = model.predict(row, prev_state=state_a)
-            vb, state_b = clone.predict(row, prev_state=state_b)
-            assert va == vb
+            assert model.predict(row) == clone.predict(row)
 
 
 class TestDispersion:
@@ -325,18 +285,9 @@ class TestFailClosed:
         with pytest.raises(SchemaError):
             model.predict_batch([["a", "b", "c"]])
 
-    def test_detector_mode_given_by_value_trains_a_machine(self):
-        cfg = TrainConfig.small(detector_mode="boundary_plus_state_machine")
-        assert cfg.detector_mode is DetectorMode.BOUNDARY_PLUS_STATE_MACHINE
-        assert train(two_blobs(), cfg, seed=0).machine is not None
-
-    def test_unknown_detector_mode_raises(self):
-        with pytest.raises(ValueError):
-            TrainConfig.small(detector_mode="boundary")
-
     @pytest.mark.parametrize("path", [
         ("norm", "mean"), ("norm", "std"), ("pca", "components"),
-        ("pca", "eigenvalues"), ("clusters", "heads"), ("clusters", "radii")])
+        ("norm", "kept"), ("clusters", "heads"), ("clusters", "radii")])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_from_json_rejects_non_finite_numbers(self, path, bad):
         doc = json.loads(train(two_blobs(), TrainConfig.small(), seed=0).to_json())
@@ -383,9 +334,9 @@ MODEL_ROWS = arrays(np.float64, st.tuples(st.integers(8, 60), st.integers(1, 4))
 
 class TestModelJson:
     @settings(max_examples=40, deadline=None)
-    @given(MODEL_ROWS, st.sampled_from(list(DetectorMode)), st.booleans())
-    def test_to_json_round_trips_bit_identically(self, x, mode, use_pca):
-        model = train(x, TrainConfig.small(detector_mode=mode, use_pca=use_pca))
+    @given(MODEL_ROWS, st.booleans())
+    def test_to_json_round_trips_bit_identically(self, x, use_pca):
+        model = train(x, TrainConfig.small(use_pca=use_pca))
         text = model.to_json()
         clone = WorkerModel.from_json(text)
         assert clone.to_json() == text
@@ -419,19 +370,18 @@ class TestModelJson:
             WorkerModel.from_json("{")
         text = train(two_blobs(), TrainConfig.small()).to_json()
         with pytest.raises(SchemaError):
-            WorkerModel.from_json(text.replace('"version": 1', '"version": 2'))
+            WorkerModel.from_json(text.replace('"version": 2', '"version": 3'))
         with pytest.raises(SchemaError):
             WorkerModel.from_json("[]")
 
 
-STATE_MACHINE = DetectorMode.BOUNDARY_PLUS_STATE_MACHINE
 PROBE_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, -3.0, 10.0]),
                          st.floats(-50.0, 50.0))
 
-# A version-1 document in the earlier layout, which also wrote
-# ``detector_mode``, ``trained_rows`` and ``norm.n_features_in``: two
-# clusters on one PCA axis, transitions 1->1, 1->0 and 0->0.
-EARLIER_DOC = (
+# A version-1 document, which also held ``detector_mode``, ``trained_rows``,
+# ``norm.n_features_in``, the full ``pca.eigenvalues`` and a cluster
+# ``transitions`` table: two clusters on one PCA axis.
+EARLIER_V1_DOC = (
     '{"version": 1, "detector_mode": "boundary_plus_state_machine", '
     '"n_features_in": 3, "trained_rows": 24, "norm": {"mean": [2.934166666666666, '
     '2.9999999999999996, 0.06374999999999999], "std": [2.863664488999288, '
@@ -441,22 +391,31 @@ EARLIER_DOC = (
     '0.015065460313467338], "retained": 1}, "clusters": {"heads": '
     '[[-1.3952668287312986], [1.414078599132326]], "radii": [0.23217145390475663, '
     '0.2316215343607091]}, "transitions": [[0, 0], [1, 0], [1, 1]]}')
+# The same model as a version-2 document.
+EARLIER_DOC = (
+    '{"version": 2, "n_features_in": 3, "norm": {"mean": [2.934166666666666, '
+    '2.9999999999999996, 0.06374999999999999], "std": [2.863664488999288, '
+    '3.081904173288542, 0.393359594815397], "kept": [0, 1, 2]}, '
+    '"pca": {"components": [[-0.7056107487202673, -0.7052964076838307, '
+    '-0.06834068040857709]], "retained": 1}, "clusters": {"heads": '
+    '[[-1.3952668287312986], [1.414078599132326]], "radii": [0.23217145390475663, '
+    '0.2316215343607091]}}')
 EARLIER_PROBES = [[0.0, 0.0, 0.0], [6.0, 6.0, 0.0], [0.1, -0.1, 0.2],
                   [50.0, 50.0, 50.0], [0.5, 0.5, 0.0], [3.0, 3.0, 0.0]]
-# (reason, cluster, distance, next state) per probe, streamed from state None,
-# as the earlier layout's reader scored them.
+# (anomalous, cluster, distance) per probe, as the version-1 reader's
+# boundary rule scored them.
 EARLIER_VERDICTS = [
-    (Reason.NONE, 1, 0.0065322108757608355, 1),
-    (Reason.NONE, 0, 0.035635497182082254, 0),
-    (Reason.ILLEGAL_TRANSITION, 1, 0.029970015453661514, 1),
-    (Reason.OUTSIDE_BOUNDARY, 0, 29.63352646878264, 1),
-    (Reason.NONE, 1, 0.23109388378436146, 1),
-    (Reason.OUTSIDE_BOUNDARY, 0, 1.3901210707786515, 1),
+    (False, 1, 0.0065322108757608355),
+    (False, 0, 0.035635497182082254),
+    (False, 1, 0.029970015453661514),
+    (True, 0, 29.63352646878264),
+    (False, 1, 0.23109388378436146),
+    (True, 0, 1.3901210707786515),
 ]
 
 
 class TestOneRule:
-    """``predict``, ``predict_batch`` and the machine fit share one boundary."""
+    """``predict`` and ``predict_batch`` share one boundary."""
 
     @settings(max_examples=80, deadline=None)
     @given(MODEL_ROWS, st.booleans(), st.data())
@@ -468,51 +427,37 @@ class TestOneRule:
         mask = model.predict_batch(rows).tolist()
         assert [model.predict(row)[0].anomalous for row in rows] == mask
 
-    @settings(max_examples=80, deadline=None)
-    @given(MODEL_ROWS, st.booleans())
-    # The split tree labels (0, 0) with cluster 0, but its nearest head is
-    # cluster 2's: a machine fitted on split-tree labels never records the
-    # 1 -> 2 step that replaying this sequence takes.
-    @example(np.array([[1.0, 0.0]] * 2 + [[1.0, 1.0]] * 16 + [[0.0, 0.0], [0.0, 1.0]]),
-             False)
-    def test_replaying_training_rows_is_always_legal(self, x, use_pca):
-        model = train(x, TrainConfig.small(detector_mode=STATE_MACHINE, use_pca=use_pca))
-        state = None
-        for row in x:
-            verdict, state = model.predict(row, state)
-            assert verdict.reason is not Reason.ILLEGAL_TRANSITION
-
     @settings(max_examples=40, deadline=None)
-    @given(MODEL_ROWS, st.sampled_from(list(DetectorMode)), st.booleans())
-    def test_earlier_layout_keys_are_ignored(self, x, mode, use_pca):
-        model = train(x, TrainConfig.small(detector_mode=mode, use_pca=use_pca))
+    @given(MODEL_ROWS, st.booleans())
+    def test_earlier_layout_keys_are_ignored(self, x, use_pca):
+        model = train(x, TrainConfig.small(use_pca=use_pca))
         doc = json.loads(model.to_json())
-        doc["detector_mode"] = mode.value
+        doc["detector_mode"] = "boundary_plus_state_machine"
         doc["trained_rows"] = len(x)
         doc["norm"]["n_features_in"] = x.shape[1]
+        doc["transitions"] = [[0, 0]]
+        if doc["pca"] is not None:
+            doc["pca"]["eigenvalues"] = [1.0] * len(doc["norm"]["kept"])
         clone = WorkerModel.from_json(json.dumps(doc))
         assert clone.to_json() == model.to_json()
-        state_a = state_b = None
         for row in x:
-            va, state_a = model.predict(row, state_a)
-            vb, state_b = clone.predict(row, state_b)
-            assert va == vb and state_a == state_b
+            assert model.predict(row) == clone.predict(row)
 
-    @pytest.mark.parametrize("machine", [True, False])
-    def test_earlier_layout_document_scores_as_before(self, machine):
-        text = EARLIER_DOC
-        if not machine:  # the earlier boundary-only layout wrote no transitions
-            text = (text.replace("boundary_plus_state_machine", "boundary_only")
-                    .replace("[[0, 0], [1, 0], [1, 1]]", "null"))
+    def test_version_1_document_raises_schema_error(self):
+        with pytest.raises(SchemaError):
+            WorkerModel.from_json(EARLIER_V1_DOC)
+
+    # With ``stale_keys`` the document keeps every key version 1 wrote,
+    # transitions included; they are ignored.
+    @pytest.mark.parametrize("stale_keys", [True, False])
+    def test_earlier_layout_document_scores_as_before(self, stale_keys):
+        text = (EARLIER_V1_DOC.replace('"version": 1', '"version": 2') if stale_keys
+                else EARLIER_DOC)
         model = WorkerModel.from_json(text)
-        assert (model.machine is not None) is machine
-        state = None
-        for row, (reason, cluster, distance, after) in zip(EARLIER_PROBES, EARLIER_VERDICTS):
-            if not machine and reason is Reason.ILLEGAL_TRANSITION:
-                reason = Reason.NONE
-            verdict, state = model.predict(row, state)
-            assert (verdict.reason, verdict.cluster_id, state) == (reason, cluster, after)
-            assert verdict.anomalous is (reason is not Reason.NONE)
+        assert model.to_json() == EARLIER_DOC
+        for row, (anomalous, cluster, distance) in zip(EARLIER_PROBES, EARLIER_VERDICTS):
+            verdict, _ = model.predict(row)
+            assert (verdict.anomalous, verdict.cluster_id) == (anomalous, cluster)
             assert verdict.distance == pytest.approx(distance, rel=1e-12)
         assert model.predict_batch(np.array(EARLIER_PROBES)).tolist() == [
             False, False, False, True, False, True]

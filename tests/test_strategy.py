@@ -117,3 +117,10 @@ class TestUnitsFailClosed:
         units.insert(at, vector)
         with pytest.raises(LayoutMismatchError):
             train_strategy(units, strategy, TrainConfig(min_train_rows=2))
+
+    @pytest.mark.parametrize("n_labels", [0, 1, 3, None])
+    def test_eval_labels_must_match_eval_rows(self, n_labels):
+        units, ex, ey = make_unit_datasets(2, 100)
+        labels = None if n_labels is None else ey[:n_labels]
+        with pytest.raises(LayoutMismatchError):
+            train_strategy(units, Strategy.PROGRESSIVE_TYPE, CFG, eval_x=ex, eval_y=labels)

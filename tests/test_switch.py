@@ -45,30 +45,30 @@ class TestMatching:
         sw.process_packet(dns_reply(1_000_000, "cloud.plug.example", [CLOUD_IP]))
         disp = sw.process_packet(
             tcp_pkt(2_000_000, DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP, 40000, 50443))
-        assert disp.matched_flow_id == "b.2"
+        assert disp.matches[0].flow_id == "b.2"
         assert disp.forwarded and not disp.mirrored
 
     def test_unbound_cloud_traffic_hits_internet_default(self):
         sw = make_switch()
         disp = sw.process_packet(
             tcp_pkt(1_000_000, DEV_MAC, GW_MAC, DEV_IP, CLOUD_IP, 40000, 50443))
-        assert disp.matched_flow_id == "g.1"
+        assert disp.matches[0].flow_id == "g.1"
         assert disp.mirrored and disp.forwarded
 
     def test_dns_reply_forward_and_mirror(self):
         sw = make_switch()
         disp = sw.process_packet(dns_reply(1_000_000, "nowhere.example", ["198.51.100.9"]))
-        assert disp.matched_flow_id == "f.2"
+        assert disp.matches[0].flow_id == "f.2"
         assert disp.forwarded and disp.mirrored
 
     def test_local_app_traffic_matches_i(self):
         sw = make_switch()
         disp = sw.process_packet(
             tcp_pkt(1_000_000, APP_MAC, DEV_MAC, APP_IP, DEV_IP, 43847, 9999))
-        assert disp.matched_flow_id == "i.2"
+        assert disp.matches[0].flow_id == "i.2"
         disp = sw.process_packet(
             tcp_pkt(1_100_000, DEV_MAC, APP_MAC, DEV_IP, APP_IP, 9999, 43847))
-        assert disp.matched_flow_id == "i.1"
+        assert disp.matches[0].flow_id == "i.1"
         assert not disp.mirrored
 
     def test_microflow_beats_parent_rule(self):
@@ -80,7 +80,7 @@ class TestMatching:
         disp = sw.process_packet(
             tcp_pkt(2_000_000, DEV_MAC, APP_MAC, "192.168.1.227", "192.168.1.228",
                     9999, 43847))
-        assert disp.matched_flow_id == entry.flow_id
+        assert disp.matches[0].flow_id == entry.flow_id
         assert disp.forwarded and not disp.mirrored
 
     def test_unregistered_macs_raise(self):
@@ -112,7 +112,7 @@ class TestMatching:
                            length=90, src_ip=DEV_IP, dst_ip=APP_IP, proto=17,
                            src_port=1234, dst_port=7777)
         disp = sw.process_packet(pkt)
-        assert disp.matched_flow_id == MISS_FLOW_ID
+        assert disp.matches[0].flow_id == MISS_FLOW_ID
 
 
 class TestDnsBinding:

@@ -220,13 +220,13 @@ def test_first_inserted_microflow_wins_a_shared_5_tuple():
     sw.insert_microflow("plug", ft, "b.2", 0)
     sw.insert_microflow("plug", FiveTuple(APP_IP, DEV_IP, 6, None, None), "i.1", 0)
     disp = sw.process_packet(tcp(1, APP, DEV, 50000, 9999, 90))
-    assert disp.matched_flow_id == first.flow_id
+    assert disp.matches[0].flow_id == first.flow_id
     sw.remove_microflows("plug", {"i.2"})
     disp = sw.process_packet(tcp(2, APP, DEV, 50000, 9999, 90))
-    assert disp.matched_flow_id == f"b.2~{ft}"
+    assert disp.matches[0].flow_id == f"b.2~{ft}"
     sw.remove_microflows("plug", {"b.2"})
     disp = sw.process_packet(tcp(3, APP, DEV, 50001, 9999, 90))
-    assert disp.matched_flow_id == f"i.1~{APP_IP}:>{DEV_IP}:/6"  # ports left open
+    assert disp.matches[0].flow_id == f"i.1~{APP_IP}:>{DEV_IP}:/6"  # ports left open
 
 
 def test_upper_case_packet_macs_hit_the_device_rules():
@@ -246,7 +246,7 @@ def test_drop_ace_blocks_the_service():
     sw = SwitchSim()
     sw.register_device("plug", DEV_MAC, rules)
     disp = sw.process_packet(tcp(1, DEV, APP, 40000, 23, 90))
-    assert disp.matched_flow_id == "a.1" and not disp.forwarded
+    assert disp.matches[0].flow_id == "a.1" and not disp.forwarded
     assert sw.process_packet(tcp(2, DEV, APP, 40000, 24, 90)).forwarded
 
 
@@ -268,14 +268,14 @@ def test_dns_and_arp_drops_block_the_baseline_rules():
                          src_ip=GW_IP, dst_ip=DEV_IP, proto=17, src_port=53, dst_port=5353,
                          payload_hint=DnsAnswer("cloud.plug.example", ("93.184.216.34",)))
     disp = sw.process_packet(reply)
-    assert disp.matched_flow_id == "f.2" and not disp.forwarded
+    assert disp.matches[0].flow_id == "f.2" and not disp.forwarded
     assert mirrored == []
     # A dropped reply binds nothing.
     assert not any(e.origin is Origin.MUD_REACTIVE_DNS for e in sw.tables["plug"].entries)
     who_has = PacketRecord(ts=2, src_mac=DEV_MAC, dst_mac="ff:ff:ff:ff:ff:ff",
                            eth_type=0x0806, length=60)
     disp = sw.process_packet(who_has)
-    assert disp.matched_flow_id == "h.2" and not disp.forwarded
+    assert disp.matches[0].flow_id == "h.2" and not disp.forwarded
 
 
 def test_block_label_holding_the_microflow_mark_is_refused():
